@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/gen"
-	"repro/internal/hardness"
-	"repro/internal/opt"
 	"repro/internal/pebble"
 	"repro/internal/sched"
 )
@@ -107,90 +105,6 @@ func BenchmarkPartitionedBeladyFFT(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkExactSolverGrid(b *testing.B) {
-	g := gen.Grid2D(3, 3)
-	in := pebble.MustInstance(g, pebble.MPP(1, 4, 2))
-	b.ReportAllocs()
-	states := 0
-	for i := 0; i < b.N; i++ {
-		res, err := opt.Exact(in, 10_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		states += res.States
-	}
-	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
-}
-
-func BenchmarkExactSolverGridTwoProc(b *testing.B) {
-	g := gen.Grid2D(2, 3)
-	in := pebble.MustInstance(g, pebble.MPP(2, 3, 2))
-	b.ReportAllocs()
-	states := 0
-	for i := 0; i < b.N; i++ {
-		res, err := opt.Exact(in, 10_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		states += res.States
-	}
-	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
-}
-
-func BenchmarkExactWitnessGridTwoProc(b *testing.B) {
-	g := gen.Grid2D(2, 3)
-	in := pebble.MustInstance(g, pebble.MPP(2, 3, 2))
-	b.ReportAllocs()
-	states := 0
-	for i := 0; i < b.N; i++ {
-		res, err := opt.ExactWithStrategy(in, 10_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		states += res.States
-	}
-	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
-}
-
-func BenchmarkZeroIODecision(b *testing.B) {
-	g := gen.Pyramid(6)
-	b.ReportAllocs()
-	states := 0
-	for i := 0; i < b.N; i++ {
-		res, err := opt.ZeroIO(g, 8, 10_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		states += res.States
-	}
-	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
-}
-
-// BenchmarkZeroIOBigCliqueSearch is the E12/E13 inner loop: the Theorem 2
-// reduction DAG for C4 (no 3-clique), where the zero-I/O search must
-// exhaust its whole pruned space to answer "no".
-func BenchmarkZeroIOBigCliqueSearch(b *testing.B) {
-	c4 := hardness.MustUGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	red, err := hardness.BuildCliqueReduction(c4, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	states := 0
-	for i := 0; i < b.N; i++ {
-		res, err := opt.ZeroIOBig(red.Graph, red.R, 10_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Feasible {
-			b.Fatal("C4 reduction unexpectedly feasible")
-		}
-		states += res.States
-	}
-	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 }
 
 func BenchmarkMatMulGeneration(b *testing.B) {

@@ -41,8 +41,8 @@
 // prints a loud warning and stamps the snapshot's "sweep_warning" field
 // so the JSON can never be mistaken for a multicore result.
 //
-// The batch-zoo3-w1 benchmark drives three instances of mixed k through
-// opt.SolveBatch, measuring the pooled-arena path end to end.
+// The batch-zoo3-w1 benchmark solves three instances of mixed k back to
+// back, measuring the pooled-arena path end to end.
 //
 // The cache group (disable with -cache=false) measures the
 // content-addressable solve cache's hit path: each cached-* row primes
@@ -376,11 +376,15 @@ func main() {
 
 	// --- solver group: the exact-search hot paths ---------------------
 	if wantGroup("solver") {
+		// The unsuffixed single-instance rows run DefaultConfig pinned to
+		// one worker, so their numbers do not depend on the machine.
+		seqCfg := opt.DefaultConfig(states(10_000_000))
+		seqCfg.Workers = 1
 		gridK1 := pebble.MustInstance(gen.Grid2D(3, 3), pebble.MPP(1, 4, 2))
 		add(measure("exact-grid3x3-k1", "solver", minTime, func() (int, error) {
 			ctx, cancel := solverCtx()
 			defer cancel()
-			res, err := opt.ExactCtx(ctx, gridK1, states(10_000_000))
+			res, err := opt.ExactWith(ctx, gridK1, seqCfg)
 			if err != nil {
 				return 0, annotateGap(res, err)
 			}
@@ -398,27 +402,28 @@ func main() {
 		exactWorkers("exact-zipper2x3-k1-g5", zipIn, 10_000_000)
 		// The pooled batch path: three instances of mixed k (the packed
 		// key width changes between them, the arena-reuse guard's hard
-		// case) through one SolveBatch call. Deterministic at one worker,
-		// so the summed expansion count is -diff-gated like any solver row.
+		// case) solved back to back. Deterministic at one worker, so the
+		// summed expansion count is -diff-gated like any solver row.
 		batchIns := []*pebble.Instance{gridK2, zipIn, gridK1}
 		add(measure("batch-zoo3-w1", "solver", minTime, func() (int, error) {
 			ctx, cancel := solverCtx()
 			defer cancel()
-			cfg := opt.DefaultConfig(states(10_000_000))
-			cfg.Workers = 1
 			total := 0
-			for _, br := range opt.SolveBatch(ctx, batchIns, cfg) {
-				if br.Err != nil {
-					return 0, annotateGap(br.Result, br.Err)
+			for _, in := range batchIns {
+				res, err := opt.ExactWith(ctx, in, seqCfg)
+				if err != nil {
+					return 0, annotateGap(res, err)
 				}
-				total += br.Result.States
+				total += res.States
 			}
 			return total, nil
 		}))
+		witnessCfg := seqCfg
+		witnessCfg.Witness = true
 		add(measure("exact-witness-grid2x3-k2", "solver", minTime, func() (int, error) {
 			ctx, cancel := solverCtx()
 			defer cancel()
-			res, err := opt.ExactWithStrategyCtx(ctx, gridK2, states(10_000_000))
+			res, err := opt.ExactWith(ctx, gridK2, witnessCfg)
 			if err != nil {
 				return 0, annotateGap(res, err)
 			}
@@ -428,7 +433,7 @@ func main() {
 		add(measure("zeroio-pyramid6-r8", "solver", minTime, func() (int, error) {
 			ctx, cancel := solverCtx()
 			defer cancel()
-			res, err := opt.ZeroIOCtx(ctx, pyr, 8, states(10_000_000))
+			res, err := opt.ZeroIO(ctx, pyr, 8, states(10_000_000))
 			if err != nil {
 				return 0, err
 			}
@@ -444,7 +449,7 @@ func main() {
 		add(measure("zeroiobig-clique-C4-q3", "solver", minTime, func() (int, error) {
 			ctx, cancel := solverCtx()
 			defer cancel()
-			res, err := opt.ZeroIOBigCtx(ctx, red.Graph, red.R, states(10_000_000))
+			res, err := opt.ZeroIOBig(ctx, red.Graph, red.R, states(10_000_000))
 			if err != nil {
 				return 0, err
 			}

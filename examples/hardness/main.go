@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 		fmt.Printf("%s\n  source graph: N=%d M=%d; reduction DAG: n=%d nodes, pebble budget R=%d\n",
 			p.name, p.g.N, p.g.M(), red.Graph.N(), red.R)
 
-		res, err := opt.ZeroIOBig(red.Graph, red.R, 50_000_000)
+		res, err := opt.ZeroIOBig(context.Background(), red.Graph, red.R, 50_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}

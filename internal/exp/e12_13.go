@@ -69,7 +69,7 @@ func E12CliqueReduction(ctx context.Context, cfg Config) (*Table, error) {
 				return nil, err
 			}
 			stage := fmt.Sprintf("E12 %s/%s", pair.name, side.tag)
-			zres, zerr := opt.ZeroIOBigCtx(ctx, red.Graph, red.R, cfg.states(budget))
+			zres, zerr := opt.ZeroIOBig(ctx, red.Graph, red.R, cfg.states(budget))
 			res, ok, err := zeroIOIn(t, stage, zres, zerr)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", stage, err)
@@ -207,7 +207,7 @@ func cliqueQuery(ctx context.Context, cfg Config, g *hardness.UGraph, q int) (fe
 	if err != nil {
 		return false, false, err
 	}
-	res, err := opt.ZeroIOBigCtx(ctx, red.Graph, red.R, cfg.states(30_000_000))
+	res, err := opt.ZeroIOBig(ctx, red.Graph, red.R, cfg.states(30_000_000))
 	if err != nil {
 		return false, false, err
 	}

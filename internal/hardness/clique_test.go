@@ -1,6 +1,7 @@
 package hardness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/opt"
@@ -152,7 +153,7 @@ func TestCliqueEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := opt.ZeroIOBig(red.Graph, red.R, 40_000_000)
+		res, err := opt.ZeroIOBig(context.Background(), red.Graph, red.R, 40_000_000)
 		if err != nil {
 			t.Fatalf("%s: search: %v", name, err)
 		}

@@ -1,6 +1,7 @@
 package hardness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/opt"
@@ -25,7 +26,7 @@ func TestMatchedPairsSeparate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := opt.ZeroIOBig(red.Graph, red.R, 30_000_000)
+		res, err := opt.ZeroIOBig(context.Background(), red.Graph, red.R, 30_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -60,7 +61,7 @@ func TestQ4Pair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := opt.ZeroIOBig(red.Graph, red.R, 80_000_000)
+		res, err := opt.ZeroIOBig(context.Background(), red.Graph, red.R, 80_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -10,15 +11,17 @@ import (
 // yes nor no, so the caller must look at Status/Verdict (or hand the
 // result to something that does) before trusting Cost or Feasible.
 //
-// For every call to a solver entry point (opt.Exact*, opt.ZeroIO*, and
-// their facade re-exports) the analyzer requires that the returned
-// result is (a) not discarded — not an expression statement, not
-// assigned to _ — and (b) consulted: at least one use of the result
-// variable reads .Status or .Verdict, checks the paired error, or lets
-// the value escape (passed to a call, returned, stored, compared),
-// which conservatively counts as consultation. Reading only .Cost or
-// .Feasible off a possibly-partial result is exactly the bug this
-// analyzer exists to catch.
+// For every call to a solver entry point (opt.ExactWith, opt.SolveCached,
+// opt.ZeroIO, opt.ZeroIOBig, and their facade re-exports) the analyzer
+// requires that the returned result is (a) not discarded — not an
+// expression statement, not assigned to _ — and (b) consulted: at least
+// one use of the result variable reads .Status or .Verdict, checks the
+// paired error, or lets the value escape (passed to a call, returned,
+// stored, compared), which conservatively counts as consultation.
+// Reading only .Cost or .Feasible off a possibly-partial result is
+// exactly the bug this analyzer exists to catch. The one accepted drop
+// is the explicit `_, _ = call` (a warm-up or allocation probe), the
+// same convention as poolcheck's `_ =`.
 var VerdictCheck = &Analyzer{
 	Name: "verdictcheck",
 	Doc: "solver results must not be discarded, and their Status/Verdict " +
@@ -30,15 +33,11 @@ var VerdictCheck = &Analyzer{
 // keyed by defining package path.
 var verdictFuncs = map[string]map[string]bool{
 	"repro/internal/opt": {
-		"Exact": true, "ExactCtx": true,
-		"ExactWithStrategy": true, "ExactWithStrategyCtx": true,
-		"ExactOracle": true, "ExactWithStrategyOracle": true,
-		"ZeroIO": true, "ZeroIOCtx": true,
-		"ZeroIOBig": true, "ZeroIOBigCtx": true, "ZeroIOBigOracle": true,
+		"ExactWith": true, "SolveCached": true,
+		"ZeroIO": true, "ZeroIOBig": true,
 	},
 	"repro": {
-		"Exact": true, "ExactCtx": true,
-		"ZeroIO": true, "ZeroIOCtx": true,
+		"ExactWith": true, "SolveCached": true, "ZeroIO": true,
 	},
 }
 
@@ -108,6 +107,9 @@ func checkSolverCall(pass *Pass, info *types.Info, par map[ast.Node]ast.Node, ca
 		if len(stmt.Rhs) != 1 || removeParens(stmt.Rhs[0]) != ast.Expr(call) || len(stmt.Lhs) != 2 {
 			return // call feeds a larger expression: escapes, fine
 		}
+		if stmt.Tok == token.ASSIGN && isBlank(stmt.Lhs[0]) && isBlank(stmt.Lhs[1]) {
+			return // `_, _ = solver(...)`: an explicit, visible drop
+		}
 		checkResultVar(pass, info, par, call, stmt.Lhs[0], stmt.Lhs[1], name)
 	case *ast.ValueSpec:
 		if len(stmt.Values) != 1 || len(stmt.Names) != 2 {
@@ -118,6 +120,11 @@ func checkSolverCall(pass *Pass, info *types.Info, par map[ast.Node]ast.Node, ca
 		// Return statement, call argument, composite literal, …: the
 		// result escapes to a consumer; conservatively fine.
 	}
+}
+
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
 }
 
 func removeParens(e ast.Expr) ast.Expr {

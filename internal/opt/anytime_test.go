@@ -11,7 +11,7 @@ import (
 
 // These tests pin the anytime contract: an interrupted search must
 // return a usable partial result — an incumbent/lower-bound bracket for
-// Exact, an explicit indeterminate verdict for the zero-I/O deciders —
+// ExactWith, an explicit indeterminate verdict for the zero-I/O deciders —
 // behind a typed error, and the partial trajectory must stay
 // byte-identical between the open-addressing table and the map-backed
 // oracle.
@@ -45,7 +45,7 @@ func incumbentOK(t *testing.T, tag string, res *Result, optCost int64) {
 func TestExactAnytimeBudget(t *testing.T) {
 	g := gen.Grid2D(2, 3)
 	in := pebble.MustInstance(g, pebble.MPP(2, 3, 2))
-	full, err := Exact(in, budget)
+	full, err := exactSeq(in, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestExactAnytimeBudget(t *testing.T) {
 	prevInc := int64(-1)
 	prevLB := int64(0)
 	for _, max := range []int{1, 2, 10, 100, 1000} {
-		res, err := Exact(in, max)
+		res, err := exactSeq(in, max)
 		if err == nil {
 			if max >= full.States {
 				break
@@ -92,7 +92,7 @@ func TestExactAnytimeBudget(t *testing.T) {
 
 	// Witness mode under budget: any strategy handed back must replay to
 	// the incumbent, not to garbage.
-	res, err := ExactWithStrategy(in, 200)
+	res, err := witnessSeq(in, 200)
 	if errors.Is(err, ErrBudget) && res.Strategy != nil {
 		rep, rerr := pebble.Replay(in, res.Strategy)
 		if rerr != nil {
@@ -109,7 +109,7 @@ func TestExactAnytimeCancel(t *testing.T) {
 	in := pebble.MustInstance(g, pebble.MPP(2, 3, 2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ExactCtx(ctx, in, budget)
+	res, err := ExactWith(ctx, in, seqConfig(budget))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: error %v does not wrap context.Canceled", err)
 	}
@@ -131,8 +131,8 @@ func TestExactOraclePartialEquivalence(t *testing.T) {
 	g := gen.Grid2D(3, 3)
 	in := pebble.MustInstance(g, pebble.MPP(1, 4, 2))
 	for _, max := range []int{1, 5, 50, 500, 5000} {
-		got, gerr := Exact(in, max)
-		want, werr := ExactOracle(in, max)
+		got, gerr := exactSeq(in, max)
+		want, werr := exactOracle(in, seqConfig(max))
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("budget %d: table err %v, oracle err %v", max, gerr, werr)
 		}
@@ -150,7 +150,7 @@ func TestZeroIOAnytime(t *testing.T) {
 	g := gen.Pyramid(4)
 	const r = 5 // tight: forces real search before the infeasible verdict
 
-	res, err := ZeroIO(g, r, 1)
+	res, err := ZeroIO(context.Background(), g, r, 1)
 	if !errors.Is(err, ErrBudget) || !IsPartial(err) {
 		t.Fatalf("budget 1: error %v does not wrap ErrBudget", err)
 	}
@@ -163,7 +163,7 @@ func TestZeroIOAnytime(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = ZeroIOCtx(ctx, g, r, budget)
+	res, err = ZeroIO(ctx, g, r, budget)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: error %v does not wrap context.Canceled", err)
 	}
@@ -172,14 +172,14 @@ func TestZeroIOAnytime(t *testing.T) {
 	}
 
 	// Complete runs carry definite verdicts both ways.
-	res, err = ZeroIO(g, r, budget)
+	res, err = ZeroIO(context.Background(), g, r, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict != VerdictInfeasible || res.Status != StatusComplete {
 		t.Fatalf("pyramid4 r=%d: %+v, want infeasible/complete", r, res)
 	}
-	res, err = ZeroIO(g, r+1, budget)
+	res, err = ZeroIO(context.Background(), g, r+1, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestZeroIOBigAnytime(t *testing.T) {
 	g := gen.Pyramid(4)
 	const r = 5
 
-	res, err := ZeroIOBig(g, r, 1)
+	res, err := ZeroIOBig(context.Background(), g, r, 1)
 	if !errors.Is(err, ErrBudget) || !IsPartial(err) {
 		t.Fatalf("budget 1: error %v does not wrap ErrBudget", err)
 	}
@@ -202,7 +202,7 @@ func TestZeroIOBigAnytime(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = ZeroIOBigCtx(ctx, g, r, budget)
+	res, err = ZeroIOBig(ctx, g, r, budget)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: error %v does not wrap context.Canceled", err)
 	}
@@ -212,11 +212,11 @@ func TestZeroIOBigAnytime(t *testing.T) {
 
 	// Small-mask and bitset variants agree on the decision and on the
 	// explored-state count for an in-capacity DAG.
-	small, err := ZeroIO(g, r, budget)
+	small, err := ZeroIO(context.Background(), g, r, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := ZeroIOBig(g, r, budget)
+	big, err := ZeroIOBig(context.Background(), g, r, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestZeroIOWordBoundary(t *testing.T) {
 		g := gen.Chain(n)
 		// r = 2 suffices for a chain (live set is the frontier node plus
 		// its successor); r = 1 cannot even hold an edge.
-		res, err := ZeroIO(g, 2, budget)
+		res, err := ZeroIO(context.Background(), g, 2, budget)
 		if err != nil {
 			t.Fatalf("chain%d r=2: %v", n, err)
 		}
@@ -252,7 +252,7 @@ func TestZeroIOWordBoundary(t *testing.T) {
 				t.Errorf("chain%d: witness strategy pays %d I/O moves", n, rep.IOMoves)
 			}
 		}
-		res2, err := ZeroIO(g, 1, budget)
+		res2, err := ZeroIO(context.Background(), g, 1, budget)
 		if err != nil {
 			t.Fatalf("chain%d r=1: %v", n, err)
 		}
@@ -262,7 +262,7 @@ func TestZeroIOWordBoundary(t *testing.T) {
 		// Above capacity the dispatch target is ZeroIOBig; the two entry
 		// points must agree exactly.
 		if n > zeroIOWordCap {
-			big, err := ZeroIOBig(g, 2, budget)
+			big, err := ZeroIOBig(context.Background(), g, 2, budget)
 			if err != nil {
 				t.Fatal(err)
 			}

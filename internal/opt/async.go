@@ -123,38 +123,6 @@ const (
 	expandStopped                      // refused: budget or cancel; entry re-pushed
 )
 
-// runAsyncInline is the single-worker async driver: a plain sequential
-// A* with incumbent pruning — no goroutines, no channels, no batches.
-// It exists for the same reason runInline does (zero-concurrency
-// allocation budget) and doubles as the reference semantics for the
-// worker loop: runAsync with W shards interleaves W of these.
-func (e *engine) runAsyncInline() (*Result, error) {
-	if e.ctx.Err() != nil {
-		e.requestStop(StatusCanceled)
-		return e.partialResult(StatusCanceled, 0, false)
-	}
-	s := e.shards[0]
-	for {
-		f, ok := s.bq.minF()
-		if !ok {
-			return e.drained()
-		}
-		if e.incumbentNow() <= f {
-			return e.complete()
-		}
-		if st := e.stopStatus(); st != StatusComplete {
-			return e.partialResult(st, 0, false)
-		}
-		ent, ok := s.bq.popBucket(f)
-		if !ok {
-			continue
-		}
-		if s.asyncExpand(ent, f) == expandStopped {
-			return e.partialResult(e.stopStatus(), 0, false)
-		}
-	}
-}
-
 // asyncExpand processes one popped queue entry: skip it if stale,
 // already expanded or a goal; otherwise charge the budget and expand.
 // When the charge is refused (budget exhausted or context canceled) the
@@ -197,25 +165,31 @@ func (s *solver) asyncExpand(ent bqEntry, f int64) expandOutcome {
 	return expandOK
 }
 
-// runAsync is the multi-worker async driver: one free-running goroutine
-// per shard, coordinated only through the inboxes and the quiescence
-// atomics. The coordinator just waits, then sweeps up leftovers and
-// assembles the result from quiescent memory.
+// runAsync is the async driver: one free-running goroutine per shard,
+// coordinated only through the inboxes and the quiescence atomics. The
+// coordinator just waits, then sweeps up leftovers and assembles the
+// result from quiescent memory. A single shard runs its loop in place,
+// with no goroutines: a plain sequential A* with incumbent pruning,
+// whose nil inbox never delivers and whose first park proves quiescence.
 func (e *engine) runAsync() (*Result, error) {
 	if e.ctx.Err() != nil {
 		e.requestStop(StatusCanceled)
 		return e.partialResult(StatusCanceled, 0, false)
 	}
 	atomic.StoreInt64(&e.busy, int64(e.nShards))
-	var wg sync.WaitGroup
-	for i := 0; i < e.nShards; i++ {
-		wg.Add(1)
-		go func(s *solver) {
-			defer wg.Done()
-			s.asyncLoop()
-		}(e.shards[i])
+	if e.nShards == 1 {
+		e.shards[0].asyncLoop()
+	} else {
+		var wg sync.WaitGroup
+		for _, s := range e.shards {
+			wg.Add(1)
+			go func(s *solver) {
+				defer wg.Done()
+				s.asyncLoop()
+			}(s)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	e.applyLeftovers()
 	if atomic.LoadUint32(&e.doneFlag) != 0 {
 		// Quiescence proven: every open entry is at f ≥ the incumbent

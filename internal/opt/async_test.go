@@ -27,7 +27,7 @@ func TestAsyncMatchesDeterministicZoo(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		want, err := Exact(in, budget)
+		want, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: deterministic: %v", c.name, err)
 		}
@@ -56,7 +56,7 @@ func TestAsyncWitnessReplays(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		want, err := Exact(in, budget)
+		want, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: deterministic: %v", c.name, err)
 		}
@@ -94,7 +94,7 @@ func TestAsyncPartialBudgetBracket(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		full, err := Exact(in, budget)
+		full, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: full solve: %v", c.name, err)
 		}
@@ -141,7 +141,7 @@ func TestAsyncPartialBudgetBracket(t *testing.T) {
 // the optimum or canceled with a sound bracket, nothing else.
 func TestAsyncCancel(t *testing.T) {
 	in := pebble.MustInstance(zooCases()[4].g, zooCases()[4].p) // grid2x3
-	full, err := Exact(in, budget)
+	full, err := exactSeq(in, budget)
 	if err != nil {
 		t.Fatalf("full solve: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestAsyncCancel(t *testing.T) {
 func TestAsyncStatsContract(t *testing.T) {
 	ctx := context.Background()
 	in := pebble.MustInstance(zooCases()[4].g, zooCases()[4].p) // grid2x3
-	det, err := Exact(in, budget)
+	det, err := exactSeq(in, budget)
 	if err != nil {
 		t.Fatalf("deterministic: %v", err)
 	}

@@ -20,7 +20,7 @@ func TestBudgetSweepDeterminism(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		full, err := Exact(in, budget)
+		full, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s full: %v", c.name, err)
 		}

@@ -45,11 +45,11 @@ func zooCases() []struct {
 func TestExactTableMatchesOracleZoo(t *testing.T) {
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		got, err := Exact(in, budget)
+		got, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want, err := ExactOracle(in, budget)
+		want, err := exactOracle(in, seqConfig(budget))
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", c.name, err)
 		}
@@ -59,11 +59,13 @@ func TestExactTableMatchesOracleZoo(t *testing.T) {
 		}
 		// Witness mode runs without shade canonicalization — a different
 		// state space, so it gets its own byte-identical comparison.
-		gw, err := ExactWithStrategy(in, budget)
+		gw, err := witnessSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: witness: %v", c.name, err)
 		}
-		ww, err := ExactWithStrategyOracle(in, budget)
+		wcfg := seqConfig(budget)
+		wcfg.Witness = true
+		ww, err := exactOracle(in, wcfg)
 		if err != nil {
 			t.Fatalf("%s: witness oracle: %v", c.name, err)
 		}
@@ -106,7 +108,7 @@ func TestExactModesMatchOracleZoo(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
-			want, err := ExactOracleWith(in, cfg)
+			want, err := exactOracle(in, cfg)
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", tag, err)
 			}
@@ -129,7 +131,7 @@ func TestExactModesMatchOracleZoo(t *testing.T) {
 func TestExactModesAgreeOnOptimum(t *testing.T) {
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		ref, err := Exact(in, budget)
+		ref, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -174,11 +176,11 @@ func TestExactTableMatchesOracleQuick(t *testing.T) {
 		r := g.MaxInDegree() + 1 + rng.Intn(2)
 		io := 1 + rng.Intn(3)
 		in := pebble.MustInstance(g, pebble.MPP(k, r, io))
-		got, err := Exact(in, budget)
+		got, err := exactSeq(in, budget)
 		if err != nil {
 			return false
 		}
-		want, err := ExactOracle(in, budget)
+		want, err := exactOracle(in, seqConfig(budget))
 		if err != nil {
 			return false
 		}
@@ -208,11 +210,11 @@ func sameOrder(a, b []dag.NodeID) bool {
 
 func checkZeroIOBigEquiv(t *testing.T, name string, g *dag.Graph, r int, max int) {
 	t.Helper()
-	got, err := ZeroIOBig(g, r, max)
+	got, err := ZeroIOBig(context.Background(), g, r, max)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	want, err := ZeroIOBigOracle(g, r, max)
+	want, err := zeroIOBigOracle(g, r, max)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
@@ -261,7 +263,7 @@ func TestZeroIOBigMatchesOracleCliquePairs(t *testing.T) {
 			t.Fatalf("%s: %v", pc.name, err)
 		}
 		wantFeasible := pc.graph.HasClique(q)
-		got, err := ZeroIOBig(red.Graph, red.R, 8_000_000)
+		got, err := ZeroIOBig(context.Background(), red.Graph, red.R, 8_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", pc.name, err)
 		}
@@ -272,21 +274,25 @@ func TestZeroIOBigMatchesOracleCliquePairs(t *testing.T) {
 	}
 }
 
-// TestExactAllocationBudget pins the tentpole's point: a full Exact run
-// on the grid benchmark instance must stay far below the old per-run
-// allocation count (~13k allocs with the map/heap core). The bound is
-// generous — it exists to catch a regression back to per-state
-// allocation, not to freeze the exact constant.
+// TestExactAllocationBudget pins the search core's point: a full
+// single-worker run on the grid benchmark instance, in either engine,
+// must stay far below the old per-run allocation count (~13k allocs
+// with the map/heap core). The bound is generous — it exists to catch a
+// regression back to per-state allocation, not to freeze the exact
+// constant.
 func TestExactAllocationBudget(t *testing.T) {
 	g := gen.Grid2D(3, 3)
 	in := pebble.MustInstance(g, pebble.MPP(1, 4, 2))
-	allocs := testing.AllocsPerRun(5, func() {
-		//lint:ignore verdictcheck allocation probe: only the alloc count matters here
-		if _, err := Exact(in, 10_000_000); err != nil {
-			t.Fatal(err)
+	for _, mode := range []Mode{ModeDeterministic, ModeAsync} {
+		cfg := seqConfig(10_000_000)
+		cfg.Mode = mode
+		allocs := testing.AllocsPerRun(5, func() {
+			if res, err := ExactWith(context.Background(), in, cfg); err != nil || res.Status != StatusComplete {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2000 {
+			t.Errorf("%v engine on grid3x3 allocates %v times per run; the allocation-free core should stay ≤ 2000", mode, allocs)
 		}
-	})
-	if allocs > 2000 {
-		t.Errorf("Exact on grid3x3 allocates %v times per run; the allocation-free core should stay ≤ 2000", allocs)
 	}
 }

@@ -1,20 +1,23 @@
-// Package opt contains exact solvers for small pebbling instances:
+// Package opt contains exact solvers for small pebbling instances, one
+// call per question:
 //
-//   - Exact: uniform-cost search over the configuration space, returning
-//     the true optimum cost OPT of an MPP (or SPP) instance. Exponential;
-//     intended for instances of ≤ ~12 nodes, where it serves as ground
-//     truth for the heuristics and the gadget experiments.
+//   - ExactWith: uniform-cost search over the configuration space,
+//     returning the true optimum cost OPT of an MPP (or SPP) instance.
+//     Exponential; intended for instances of ≤ ~12 nodes, where it serves
+//     as ground truth for the heuristics and the gadget experiments.
+//     SolveCached is the same call through a content-addressable cache.
 //   - ZeroIO: a specialized decision procedure for "does a one-shot SPP
 //     pebbling of I/O cost 0 exist?" — the question made NP-hard by
 //     Theorem 2. It exploits that cost-0 one-shot pebblings are fully
 //     described by a compute permutation with forced deletions.
+//     ZeroIOBig is the bitset decider for DAGs of any size.
 //
 // The search core is allocation-free on the hot path: states are packed
 // uint64 words stored directly in an open-addressing hashtab.Table (the
 // arena doubles as the state store), the frontier is a monotone bucket
 // queue, and candidate expansion reuses scratch buffers — a rejected
-// candidate touches the heap zero times. A map-backed oracle run of the
-// same search (see oracle.go) locks the results byte-for-byte.
+// candidate touches the heap zero times. The tests run the same search
+// against the map-backed hashtab.Ref and lock the results byte-for-byte.
 //
 // The search is organized as a wave-synchronous A* over f-layers (see
 // parallel.go): with Config.Workers > 1 the state space is hash-sharded
@@ -25,9 +28,8 @@
 // expansion counts and traces become timing-dependent.
 //
 // Solver arenas (table, queue, dominance index, scratch) are recycled
-// through a package-level pool across searches (see batch.go); callers
-// solving many instances back to back can use SolveBatch, but every
-// entry point benefits automatically.
+// through a package-level pool across searches (see pool.go), so
+// callers solving many instances back to back reuse them automatically.
 package opt
 
 import (
@@ -76,9 +78,9 @@ type Result struct {
 	// sentinel.
 	LowerBound int64
 
-	// Strategy is the reconstructed move sequence (present when the
-	// search was run via ExactWithStrategy; nil from Exact). On a partial
-	// result it replays to the incumbent cost, not the optimum.
+	// Strategy is the reconstructed move sequence (present when
+	// Config.Witness is set, nil otherwise). On a partial result it
+	// replays to the incumbent cost, not the optimum.
 	Strategy *pebble.Strategy
 
 	// Pruned counts candidates the search discarded instead of queuing:
@@ -125,8 +127,12 @@ type Config struct {
 	Witness bool
 	// Workers is the number of search workers the state space is
 	// hash-sharded across. 0 means GOMAXPROCS; 1 runs the engine inline
-	// with no goroutines or channels. In ModeDeterministic results are
-	// byte-identical for every worker count (States and Pruned included).
+	// with no goroutines or channels. In ModeDeterministic every Result
+	// field except Strategy is byte-identical for every worker count
+	// (States and Pruned included). The witness Strategy is optimal and
+	// stable run to run at a fixed worker count, but which of the equally
+	// cheap strategies it is depends on the worker count: parent ties
+	// resolve by apply order.
 	Workers int
 	// Mode selects the parallel engine's coordination discipline:
 	// ModeDeterministic (the zero value) runs wave-synchronous layers
@@ -137,75 +143,30 @@ type Config struct {
 	Mode Mode
 }
 
-// DefaultConfig is the configuration the plain Exact entry points run:
-// the max heuristic with dominance pruning — the fastest sound setup.
-// Workers is left 0 (GOMAXPROCS), so ExactWith callers inherit the
-// sharded parallel search; the plain convenience entry points pin
-// Workers to 1 (see Exact).
+// DefaultConfig is the fastest sound setup: the max heuristic with
+// dominance pruning. Workers is left 0 (GOMAXPROCS), so it runs the
+// sharded parallel search; set Workers to 1 for the single-worker
+// engine.
 func DefaultConfig(maxStates int) Config {
 	return Config{MaxStates: maxStates, Heuristic: HeuristicMax, Dominance: true}
 }
 
-// Exact computes the exact optimum pebbling cost of the instance by A*
-// search over configurations (processor shades are canonicalized, so
-// symmetric configurations collapse) under DefaultConfig: the max of the
-// compute-floor and I/O-aware admissible heuristics (see heuristic.go)
-// plus dominance pruning (see dominate.go). maxStates bounds the number
-// of distinct states visited; exceeding it returns a partial Result plus
-// an error wrapping ErrBudget (see Result for the anytime contract).
+// ExactWith computes the exact optimum pebbling cost of the instance by
+// A* search over configurations under cfg. With DefaultConfig that is
+// the max of the compute-floor and I/O-aware admissible heuristics (see
+// heuristic.go) plus dominance pruning (see dominate.go); processor
+// shades are canonicalized unless cfg.Witness asks for a move sequence,
+// so symmetric configurations collapse. cfg.MaxStates bounds the number
+// of states expanded; exceeding it returns a partial Result plus an
+// error wrapping ErrBudget. The search polls ctx and likewise stops with
+// a partial Result and an error wrapping ctx.Err() when it is canceled
+// or its deadline passes (see Result for the anytime contract).
 //
-// Exact handles every Params combination: multiprocessor parallel moves,
-// zero compute costs (classic SPP, where Dijkstra's non-negative-edge
-// requirement still holds), and one-shot mode (the computed set joins the
-// search state).
-//
-// The plain entry points run single-worker (results are byte-identical
-// either way; one worker keeps the zero-goroutine allocation budget).
-// Use ExactWith with Config.Workers for the sharded parallel search.
-func Exact(in *pebble.Instance, maxStates int) (*Result, error) {
-	cfg := DefaultConfig(maxStates)
-	cfg.Workers = 1
-	//lint:ignore ctxthread deliberate non-ctx convenience API; deadline-aware callers use ExactCtx
-	return exact(context.Background(), in, cfg, nil)
-}
-
-// ExactCtx is Exact honoring a context: the search polls ctx and stops
-// with a partial (anytime) result when it is canceled or its deadline
-// passes, returning an error wrapping ctx.Err().
-func ExactCtx(ctx context.Context, in *pebble.Instance, maxStates int) (*Result, error) {
-	cfg := DefaultConfig(maxStates)
-	cfg.Workers = 1
-	return exact(ctx, in, cfg, nil)
-}
-
-// ExactWith is Exact under an explicit Config — heuristic mode,
-// dominance pruning, witness reconstruction, the state budget and the
-// worker count are all caller-chosen. The benchmark harness, the
-// experiment harness and the per-mode equivalence tests use it; with
-// DefaultConfig it runs the sharded search across GOMAXPROCS workers.
+// ExactWith handles every Params combination: multiprocessor parallel
+// moves, zero compute costs (classic SPP, where Dijkstra's
+// non-negative-edge requirement still holds), and one-shot mode (the
+// computed set joins the search state).
 func ExactWith(ctx context.Context, in *pebble.Instance, cfg Config) (*Result, error) {
-	return exact(ctx, in, cfg, nil)
-}
-
-// ExactWithStrategy is Exact additionally reconstructing one optimal
-// strategy (via parent pointers); the result replays to exactly the
-// optimal cost. Costs slightly more memory per state. Single-worker,
-// like Exact.
-func ExactWithStrategy(in *pebble.Instance, maxStates int) (*Result, error) {
-	cfg := DefaultConfig(maxStates)
-	cfg.Witness = true
-	cfg.Workers = 1
-	//lint:ignore ctxthread deliberate non-ctx convenience API; deadline-aware callers use ExactWithStrategyCtx
-	return exact(context.Background(), in, cfg, nil)
-}
-
-// ExactWithStrategyCtx is ExactWithStrategy honoring a context. On a
-// partial stop the returned strategy (if any) replays to the incumbent
-// cost.
-func ExactWithStrategyCtx(ctx context.Context, in *pebble.Instance, maxStates int) (*Result, error) {
-	cfg := DefaultConfig(maxStates)
-	cfg.Witness = true
-	cfg.Workers = 1
 	return exact(ctx, in, cfg, nil)
 }
 
@@ -215,7 +176,7 @@ func ExactWithStrategyCtx(ctx context.Context, in *pebble.Instance, maxStates in
 // instance: the sharded engine needs one single-owner table per worker.
 //
 // Runs with the default table recycle their solver arenas through the
-// package pool (see batch.go); oracle runs stay pool-free so a Ref never
+// package pool (see pool.go); oracle runs stay pool-free so a Ref never
 // masquerades as a reusable Table.
 func exact(ctx context.Context, in *pebble.Instance, cfg Config, newTab func() hashtab.Index) (*Result, error) {
 	n := in.Graph.N()
@@ -227,7 +188,7 @@ func exact(ctx context.Context, in *pebble.Instance, cfg Config, newTab func() h
 		return res, nil
 	}
 	if n > 62 {
-		return nil, fmt.Errorf("opt: Exact supports at most 62 nodes, got %d", n)
+		return nil, fmt.Errorf("opt: ExactWith supports at most 62 nodes, got %d", n)
 	}
 	pooled := newTab == nil
 	if pooled {
@@ -329,7 +290,7 @@ func (s *solver) computedWord(w []uint64) uint64 { return w[s.in.K+1] }
 
 // initScratch sizes the per-shard scratch buffers, reusing capacity left
 // by a previous search when the solver comes from the arena pool (see
-// batch.go). Called once per search, before any expansion. Stale scratch
+// pool.go). Called once per search, before any expansion. Stale scratch
 // content is harmless: every buffer is fully (re)written before it is
 // read — cur/cand by copy/append, choice by productRec, delChoice below,
 // and the option lists are always truncated to [:0] first.
@@ -483,8 +444,9 @@ func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 	// Anytime incumbent: any goal state relaxed at cost c witnesses a
 	// feasible pebbling of cost c, even though optimality is only proven
 	// at the layer barrier. The incumbent is a search-wide atomic min,
-	// so every worker count converges to the same value.
-	if cost < s.eng.incumbentNow() && s.isGoal(w) {
+	// so every worker count converges to the same value. Equal-cost goals
+	// are offered too: offerIncumbent breaks the tie deterministically.
+	if cost <= s.eng.incumbentNow() && s.isGoal(w) {
 		s.eng.offerIncumbent(cost, stateRef{shard: s.shard, idx: idx})
 	}
 	h := s.h(w)

@@ -45,7 +45,7 @@ func TestHeuristicModeStrings(t *testing.T) {
 func TestRootLowerBoundAdmissibleZoo(t *testing.T) {
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		ref, err := Exact(in, budget)
+		ref, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -90,7 +90,7 @@ func TestRootLowerBoundAdmissibleQuick(t *testing.T) {
 		r := g.MaxInDegree() + 1 + rng.Intn(2)
 		io := 1 + rng.Intn(5)
 		in := pebble.MustInstance(g, pebble.MPP(k, r, io))
-		ref, err := Exact(in, budget)
+		ref, err := exactSeq(in, budget)
 		if err != nil {
 			return false
 		}
@@ -138,7 +138,7 @@ func TestRootLowerBoundCliquePairs(t *testing.T) {
 		// On YES instances a zero-I/O pebbling exists, so OPT = 0 and the
 		// bound above is exactly tight; on NO instances OPT > 0 and 0 is
 		// still trivially admissible — both sides sit under Lemma 1.
-		if zres, err := ZeroIOBig(red.Graph, red.R, 8_000_000); err == nil && zres.Feasible {
+		if zres, err := ZeroIOBig(context.Background(), red.Graph, red.R, 8_000_000); err == nil && zres.Feasible {
 			if ub := bounds.Lemma1Upper(in); ub < 0 {
 				t.Errorf("%s: Lemma 1 upper bound overflowed: %d", pc.name, ub)
 			}
@@ -208,7 +208,7 @@ func TestCompleteBracketInvariant(t *testing.T) {
 func TestPartialBracketAcrossZoo(t *testing.T) {
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		ref, err := Exact(in, budget)
+		ref, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

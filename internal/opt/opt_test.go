@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -19,7 +20,7 @@ func TestExactChain(t *testing.T) {
 	// compute cost 1, OPT = n.
 	for _, n := range []int{1, 2, 5} {
 		in := pebble.MustInstance(gen.Chain(n), pebble.MPP(1, 2, 3))
-		res, err := Exact(in, budget)
+		res, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestExactTwoChainsTwoProcs(t *testing.T) {
 	// each shade.
 	g := gen.IndependentChains(2, 3)
 	in1 := pebble.MustInstance(g, pebble.MPP(1, 2, 3))
-	r1, err := Exact(in1, budget)
+	r1, err := exactSeq(in1, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestExactTwoChainsTwoProcs(t *testing.T) {
 		t.Errorf("OPT(1) = %d, want 9", r1.Cost)
 	}
 	in2 := pebble.MustInstance(g, pebble.MPP(2, 2, 3))
-	r2, err := Exact(in2, budget)
+	r2, err := exactSeq(in2, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestExactDiamond(t *testing.T) {
 	b.AddEdge(v[2], v[3])
 	g := b.MustBuild()
 	in := pebble.MustInstance(g, pebble.MPP(1, 3, 5))
-	res, err := Exact(in, budget)
+	res, err := exactSeq(in, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestExactForcedIO(t *testing.T) {
 	g := b.MustBuild()
 	for _, ioCost := range []int{1, 4} {
 		in := pebble.MustInstance(g, pebble.MPP(1, 4, ioCost))
-		res, err := Exact(in, budget)
+		res, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestExactRecomputationBeatsIO(t *testing.T) {
 	// time with r=3: s,a1 → s,a1,a2 → delete a1 → s,a2,a3. No I/O, no
 	// recompute: OPT = 4 regardless of g.
 	in := pebble.MustInstance(g, pebble.MPP(1, 3, 10))
-	res, err := Exact(in, budget)
+	res, err := exactSeq(in, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +152,12 @@ func TestExactZipperRecomputation(t *testing.T) {
 	// is used; OPT must be identical for g=5 and g=50).
 	g, _ := gen.Zipper(2, 3, 0)
 	in5 := pebble.MustInstance(g, pebble.MPP(1, 4, 5))
-	r5, err := Exact(in5, budget)
+	r5, err := exactSeq(in5, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in50 := pebble.MustInstance(g, pebble.MPP(1, 4, 50))
-	r50, err := Exact(in50, budget)
+	r50, err := exactSeq(in50, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestExactNeverAboveHeuristics(t *testing.T) {
 		r := g.MaxInDegree() + 1 + rng.Intn(2)
 		io := 1 + rng.Intn(3)
 		in := pebble.MustInstance(g, pebble.MPP(k, r, io))
-		res, err := Exact(in, budget)
+		res, err := exactSeq(in, budget)
 		if err != nil {
 			t.Logf("seed %d: exact failed: %v", seed, err)
 			return false
@@ -211,7 +212,7 @@ func TestExactNeverAboveHeuristics(t *testing.T) {
 func TestExactBudget(t *testing.T) {
 	g := gen.Grid2D(4, 4)
 	in := pebble.MustInstance(g, pebble.MPP(2, 3, 2))
-	res, err := Exact(in, 10)
+	res, err := exactSeq(in, 10)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -223,36 +224,36 @@ func TestExactBudget(t *testing.T) {
 func TestExactEmptyAndTooBig(t *testing.T) {
 	empty := dag.NewBuilder("e").MustBuild()
 	in := pebble.MustInstance(empty, pebble.MPP(1, 1, 1))
-	res, err := Exact(in, 10)
+	res, err := exactSeq(in, 10)
 	if err != nil || res.Cost != 0 {
 		t.Fatalf("empty: %v %v", res, err)
 	}
 	big := gen.Chain(63)
 	inBig := pebble.MustInstance(big, pebble.MPP(1, 2, 1))
-	if res, err := Exact(inBig, budget); err == nil || res != nil {
+	if res, err := exactSeq(inBig, budget); err == nil || res != nil {
 		t.Fatal("63-node instance accepted")
 	}
 	// ZeroIO auto-dispatches beyond the word cap instead of refusing.
-	if res, err := ZeroIO(big, 2, budget); err != nil || !res.Feasible {
+	if res, err := ZeroIO(context.Background(), big, 2, budget); err != nil || !res.Feasible {
 		t.Fatalf("ZeroIO on 63 nodes should dispatch to bitset variant: %v %v", res, err)
 	}
 }
 
 func TestZeroIOChainAndTree(t *testing.T) {
-	if res, err := ZeroIO(gen.Chain(10), 2, budget); err != nil || !res.Feasible {
+	if res, err := ZeroIO(context.Background(), gen.Chain(10), 2, budget); err != nil || !res.Feasible {
 		t.Fatalf("chain r=2: %v %v", res, err)
 	}
-	if res, err := ZeroIO(gen.Chain(10), 1, budget); err != nil || res.Feasible {
+	if res, err := ZeroIO(context.Background(), gen.Chain(10), 1, budget); err != nil || res.Feasible {
 		t.Fatalf("chain r=1 should be infeasible: %v %v", res, err)
 	}
 	// Complete binary in-tree of depth d needs r = d+2 pebbles for a
 	// zero-I/O pebbling in the non-sliding rule set (computing a node
 	// keeps both children pebbled during the step).
 	tree := gen.BinaryInTree(3)
-	if res, err := ZeroIO(tree, 5, budget); err != nil || !res.Feasible {
+	if res, err := ZeroIO(context.Background(), tree, 5, budget); err != nil || !res.Feasible {
 		t.Fatalf("tree r=5: %v %v", res, err)
 	}
-	if res, err := ZeroIO(tree, 4, budget); err != nil || res.Feasible {
+	if res, err := ZeroIO(context.Background(), tree, 4, budget); err != nil || res.Feasible {
 		t.Fatalf("tree r=4 should be infeasible: %v %v", res, err)
 	}
 }
@@ -268,7 +269,7 @@ func TestZeroIOWitnessReplays(t *testing.T) {
 	}
 	rs := []int{2, 5, 4, 6}
 	for i, g := range graphs {
-		res, err := ZeroIO(g, rs[i], budget)
+		res, err := ZeroIO(context.Background(), g, rs[i], budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,12 +295,12 @@ func TestZeroIOMatchesExactOneShot(t *testing.T) {
 		n := 3 + rng.Intn(5)
 		g := gen.RandomDAG(n, 0.35, 2, seed)
 		r := g.MaxInDegree() + 1 + rng.Intn(2)
-		zr, err := ZeroIO(g, r, budget)
+		zr, err := ZeroIO(context.Background(), g, r, budget)
 		if err != nil {
 			return false
 		}
 		in := pebble.MustInstance(g, pebble.OneShotSPP(r, 1))
-		res, err := Exact(in, budget)
+		res, err := exactSeq(in, budget)
 		if err != nil {
 			return false
 		}
@@ -316,11 +317,11 @@ func TestZeroIOPyramidThreshold(t *testing.T) {
 	// h+1 with sliding moves; placing a fresh pebble costs one more).
 	for h := 2; h <= 4; h++ {
 		p := gen.Pyramid(h)
-		ok, err := ZeroIO(p, h+2, budget)
+		ok, err := ZeroIO(context.Background(), p, h+2, budget)
 		if err != nil || !ok.Feasible {
 			t.Errorf("pyramid %d with r=%d: want feasible (%v, %v)", h, h+2, ok, err)
 		}
-		bad, err := ZeroIO(p, h+1, budget)
+		bad, err := ZeroIO(context.Background(), p, h+1, budget)
 		if err != nil || bad.Feasible {
 			t.Errorf("pyramid %d with r=%d: want infeasible", h, h+1)
 		}
@@ -343,7 +344,7 @@ func TestExactWithStrategyWitness(t *testing.T) {
 	}
 	for _, c := range cases {
 		in := pebble.MustInstance(c.g, c.p)
-		res, err := ExactWithStrategy(in, budget)
+		res, err := witnessSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -358,7 +359,7 @@ func TestExactWithStrategyWitness(t *testing.T) {
 			t.Errorf("%s: witness cost %d ≠ optimal %d", c.name, rep.Cost, res.Cost)
 		}
 		// Cross-check against the symmetric-collapsed search.
-		plain, err := Exact(in, budget)
+		plain, err := exactSeq(in, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,11 +375,11 @@ func TestQuickWitnessMatchesPlain(t *testing.T) {
 		g := gen.RandomDAG(3+rng.Intn(5), 0.3, 2, seed)
 		k := 1 + rng.Intn(2)
 		in := pebble.MustInstance(g, pebble.MPP(k, g.MaxInDegree()+1+rng.Intn(2), 1+rng.Intn(3)))
-		w, err := ExactWithStrategy(in, budget)
+		w, err := witnessSeq(in, budget)
 		if err != nil {
 			return false
 		}
-		p, err := Exact(in, budget)
+		p, err := exactSeq(in, budget)
 		if err != nil {
 			return false
 		}

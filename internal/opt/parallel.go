@@ -1,7 +1,7 @@
 package opt
 
-// Wave-synchronous sharded A* — the deterministic parallel engine under
-// every Exact entry point.
+// Wave-synchronous sharded A* — the deterministic engine behind
+// ExactWith.
 //
 // The state space is hash-partitioned (HDA*-style) by the (blue,
 // computed) words of a packed configuration: hashtab.ShardOf over the
@@ -41,6 +41,9 @@ package opt
 //     layer whose F reaches the incumbent proves it optimal — the goal
 //     check that a sequential A* does at pop time happens here at the
 //     layer barrier, which is what keeps it worker-count-invariant.
+//     Equal-cost goals offered by different shards in one wave resolve
+//     to the lowest (shard, index) ref, not to whichever shard took the
+//     lock first, so the witness is stable run to run.
 //
 // Termination detection is the coordinator's: workers only ever run one
 // wave per command, so "all queues empty" and "incumbent ≤ F" are
@@ -51,11 +54,12 @@ package opt
 // worker ever blocks on a peer that quit — and the budget is a single
 // atomic counter, naturally "split across shards".
 //
-// Workers == 1 runs the identical wave engine inline (no goroutines, no
-// channels, no batches) — that path is the sequential solver, and the
-// map-backed oracle (oracle.go) runs through it too, so the
-// cross-implementation byte-for-byte equivalence tests cover the wave
-// semantics at every worker count.
+// Workers == 1 runs the identical coordinator loop with each wave
+// executed in place (no goroutines, no channels, no batches) — that path
+// is the sequential solver. The map-backed oracle of the equivalence
+// tests runs through the same driver at every worker count, so the
+// cross-implementation byte-for-byte comparison covers the wave
+// semantics everywhere.
 //
 // Config.Mode == ModeAsync swaps this wave discipline for speculative
 // asynchronous HDA* (async.go): same sharding, same routing batches and
@@ -186,14 +190,22 @@ func (e *engine) incumbentNow() int64 { return atomic.LoadInt64(&e.incumbent) }
 
 // offerIncumbent lowers the search-wide incumbent to cost if it
 // improves, remembering the goal state's ref for witness reconstruction.
-// Cold path: goal relaxations are rare.
+// An equal-cost offer replaces the ref only when it is lower in (shard,
+// index) order, so concurrent offers from one wave settle on the same
+// ref whatever order they take the lock in. Cold path: goal relaxations
+// are rare.
 func (e *engine) offerIncumbent(cost int64, ref stateRef) {
 	e.incMu.Lock()
-	if cost < atomic.LoadInt64(&e.incumbent) {
+	inc := atomic.LoadInt64(&e.incumbent)
+	if cost < inc || (cost == inc && ref.less(e.incRef)) {
 		atomic.StoreInt64(&e.incumbent, cost)
 		e.incRef = ref
 	}
 	e.incMu.Unlock()
+}
+
+func (r stateRef) less(o stateRef) bool {
+	return r.shard < o.shard || (r.shard == o.shard && r.idx < o.idx)
 }
 
 // requestStop records the first early-stop reason; later requests lose.
@@ -254,8 +266,7 @@ func (e *engine) reopenedTotal() int {
 	return total
 }
 
-// run seeds the start state and dispatches to the mode's inline or
-// parallel driver.
+// run seeds the start state and dispatches to the mode's driver.
 func (e *engine) run() (*Result, error) {
 	start := make([]uint64, stateWords(e.in.K))
 	owner := 0
@@ -267,117 +278,79 @@ func (e *engine) run() (*Result, error) {
 	e.startRef = stateRef{shard: int32(owner), idx: idx}
 	s.enqueue(start, 0, idx, fresh)
 	if e.cfg.Mode == ModeAsync {
-		if e.nShards == 1 {
-			return e.runAsyncInline()
-		}
 		return e.runAsync()
-	}
-	if e.nShards == 1 {
-		return e.runInline()
 	}
 	return e.runParallel()
 }
 
-// runInline is the single-worker driver: the same layer/wave structure
-// with the one shard's phases executed in place.
-//
-//mpp:deterministic
-func (e *engine) runInline() (*Result, error) {
-	s := e.shards[0]
-	for {
-		f, ok := s.bq.minF()
-		if !ok {
-			return e.drained()
-		}
-		for { // waves of layer f
-			if e.incumbentNow() <= f {
-				return e.complete()
-			}
-			if e.ctx.Err() != nil {
-				e.requestStop(StatusCanceled)
-			}
-			if st := e.stopStatus(); st != StatusComplete {
-				return e.partialResult(st, f, false)
-			}
-			if e.budgetSpent() {
-				return e.partialResult(StatusBudget, f, false)
-			}
-			s.expandWave(f)
-			if st := e.stopStatus(); st != StatusComplete {
-				return e.partialResult(st, f, true)
-			}
-			if len(s.worklist) == 0 {
-				break // layer exhausted; advance to the next f
-			}
-			s.settleWave()
-		}
-	}
-}
-
-// runParallel is the multi-worker driver: one goroutine per shard, each
-// running exactly one wave per command, with the coordinator (this
-// goroutine) owning layer advancement, termination detection and result
-// assembly. The command send and report receive bracket every wave, so
-// all cross-shard reads below (queues, counters, parents) happen on
-// quiescent memory.
+// runParallel is the deterministic driver. The coordinator (this
+// goroutine) owns layer advancement, termination detection and result
+// assembly; every shard runs one wave per round. A single shard runs its
+// wave in place, with no goroutines or channels. With more, one
+// goroutine per shard runs exactly one wave per command, and the command
+// send and report receive bracket every wave, so all cross-shard reads
+// below (queues, counters, parents) happen on quiescent memory.
 //
 //mpp:deterministic
 func (e *engine) runParallel() (*Result, error) {
-	w := e.nShards
-	cmds := make([]chan int64, w)
-	reps := make(chan struct{}, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		cmds[i] = make(chan int64, 1)
-		wg.Add(1)
-		go func(s *solver, cmd <-chan int64) {
-			defer wg.Done()
-			for f := range cmd {
-				s.expandWave(f)
-				s.flushAndMark()
-				s.applyWave()
-				s.settleWave()
-				reps <- struct{}{}
-			}
-		}(e.shards[i], cmds[i])
-	}
-	stopWorkers := func() {
-		for _, c := range cmds {
-			close(c)
+	var cmds []chan int64 // nil: waves run in place
+	var reps chan struct{}
+	if e.nShards > 1 {
+		var wg sync.WaitGroup
+		cmds = make([]chan int64, e.nShards)
+		reps = make(chan struct{}, e.nShards)
+		for i, s := range e.shards {
+			cmds[i] = make(chan int64, 1)
+			wg.Add(1)
+			go func(s *solver, cmd <-chan int64, reps chan<- struct{}) {
+				defer wg.Done()
+				for f := range cmd {
+					s.expandWave(f)
+					s.flushAndMark()
+					s.applyWave()
+					s.settleWave()
+					reps <- struct{}{}
+				}
+			}(s, cmds[i], reps)
 		}
-		wg.Wait()
+		defer func() {
+			for _, c := range cmds {
+				close(c)
+			}
+			wg.Wait()
+		}()
 	}
-
 	for {
 		f, ok := e.globalMinF()
 		if !ok {
-			stopWorkers()
 			return e.drained()
 		}
 		for { // waves of layer f
 			if e.incumbentNow() <= f {
-				stopWorkers()
 				return e.complete()
 			}
 			if e.ctx.Err() != nil {
 				e.requestStop(StatusCanceled)
 			}
 			if st := e.stopStatus(); st != StatusComplete {
-				stopWorkers()
 				return e.partialResult(st, f, false)
 			}
 			if e.budgetSpent() {
-				stopWorkers()
 				return e.partialResult(StatusBudget, f, false)
 			}
-			for i := 0; i < w; i++ {
-				cmds[i] <- f
-			}
-			for i := 0; i < w; i++ {
-				<-reps
+			if cmds == nil {
+				s := e.shards[0]
+				s.expandWave(f)
+				s.settleWave()
+			} else {
+				for _, c := range cmds {
+					c <- f
+				}
+				for range cmds {
+					<-reps
+				}
 			}
 			if st := e.stopStatus(); st != StatusComplete {
-				stopWorkers()
 				return e.partialResult(st, f, true)
 			}
 			if !e.anyBucket(f) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/pebble"
 )
 
@@ -70,7 +71,7 @@ func TestExactWorkersMatchOracleZoo(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", c.name, w, err)
 			}
-			want, err := ExactOracleWith(in, cfg)
+			want, err := exactOracle(in, cfg)
 			if err != nil {
 				t.Fatalf("%s: workers=%d oracle: %v", c.name, w, err)
 			}
@@ -122,6 +123,32 @@ func TestExactWorkersWitness(t *testing.T) {
 	}
 }
 
+// TestExactWorkersWitnessStable is the equal-cost incumbent regression:
+// when two shards relaxed goal states at the same cost in one wave,
+// whichever took the incumbent lock first supplied the witness, so
+// repeated solves at a fixed worker count returned different strategies.
+// The tie now resolves to the lowest (shard, index) ref, and 200 repeats
+// must all reconstruct the same strategy.
+func TestExactWorkersWitnessStable(t *testing.T) {
+	in := pebble.MustInstance(gen.IndependentChains(3, 2), pebble.MPP(1, 3, 2))
+	cfg := DefaultConfig(budget)
+	cfg.Witness = true
+	cfg.Workers = 2
+	var want string
+	for i := 0; i < 200; i++ {
+		res, err := ExactWith(context.Background(), in, cfg)
+		if err != nil {
+			t.Fatalf("solve %d: %v", i, err)
+		}
+		got := res.Strategy.String()
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("solve %d returned a different witness:\n got  %s\n want %s", i, got, want)
+		}
+	}
+}
+
 // TestExactPartialLowerBoundRegression is the ISSUE 5 bugfix test: a
 // budget=1 stop sees no feasible pebbling, so Incumbent is -1 — and
 // LowerBound must still report the non-negative frontier bound instead
@@ -158,7 +185,7 @@ func TestExactPartialLowerBoundRegression(t *testing.T) {
 func TestExactParallelAnytimeBracket(t *testing.T) {
 	ctx := context.Background()
 	in := pebble.MustInstance(zooCases()[4].g, zooCases()[4].p) // grid2x3
-	full, err := Exact(in, budget)
+	full, err := exactSeq(in, budget)
 	if err != nil {
 		t.Fatalf("full solve: %v", err)
 	}
@@ -221,7 +248,7 @@ func TestExactParallelCancel(t *testing.T) {
 // must run to the proven optimum instead of stopping after one state.
 func TestExactUnboundedCompletes(t *testing.T) {
 	in := pebble.MustInstance(zooCases()[4].g, zooCases()[4].p)
-	want, err := Exact(in, budget)
+	want, err := exactSeq(in, budget)
 	if err != nil {
 		t.Fatalf("bounded: %v", err)
 	}
@@ -242,7 +269,7 @@ func TestExactUnboundedCompletes(t *testing.T) {
 // result.
 func TestExactWorkersDefaultResolution(t *testing.T) {
 	in := pebble.MustInstance(zooCases()[4].g, zooCases()[4].p)
-	want, err := Exact(in, budget)
+	want, err := exactSeq(in, budget)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}

@@ -1,16 +1,16 @@
 package opt
 
-// Solver arena recycling and the multi-instance batch API.
+// Solver arena recycling.
 //
 // A search's dominant allocations are per-shard arenas: the state table,
 // the distance/mark/parent arrays, the bucket queue's buckets, the
 // dominance index and the expansion scratch. All of them reset in O(1)
 // or O(capacity-touched) without releasing memory, so solvers are
-// recycled through a package-level sync.Pool: every Exact entry point
-// (and therefore cmd/mppexp -j, the exp helpers and the cmd/mppbench
-// sweeps) reuses arenas from earlier searches automatically, and
-// SolveBatch makes the pattern explicit for callers solving many
-// instances back to back.
+// recycled through a package-level sync.Pool: every ExactWith call (and
+// therefore cmd/mppexp -j, the exp helpers, the server workers and the
+// cmd/mppbench sweeps) reuses arenas from earlier searches
+// automatically, which is what makes solving many instances back to
+// back cheap.
 //
 // Oracle runs (a caller-supplied table constructor, see exact.go) stay
 // outside the pool: a map-backed hashtab.Ref is a test double, not a
@@ -20,14 +20,12 @@ package opt
 // bind is the single preparation path for fresh and recycled solvers
 // alike — every field is either overwritten outright or explicitly
 // reset, so a recycled solver is indistinguishable from a fresh one
-// (batch_test.go locks this with byte-identical pooled-vs-fresh runs).
+// (pool_test.go locks this with byte-identical pooled-vs-fresh runs).
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/hashtab"
-	"repro/internal/pebble"
 )
 
 // solverPool recycles per-shard solver arenas across searches.
@@ -162,30 +160,4 @@ func (e *engine) release() {
 		}
 		solverPool.Put(s)
 	}
-}
-
-// BatchResult pairs one instance's Result with the error of its solve,
-// in input order. Consult Err (or Result.Status) before using Cost:
-// a partial entry carries the anytime bracket, not a proven optimum.
-type BatchResult struct {
-	Result *Result
-	Err    error
-}
-
-// SolveBatch solves many instances under one Config, reusing the same
-// pooled solver arenas (state tables, bucket queues, dominance indexes,
-// scratch) from one instance to the next instead of reallocating them.
-// Results come back in input order, one per instance, each with the
-// error its solve produced — a partial stop on one instance does not
-// abort the others.
-//
-// Cancellation: when ctx is canceled mid-batch, the remaining instances
-// return immediately with canceled partial results; the batch still
-// yields len(ins) entries.
-func SolveBatch(ctx context.Context, ins []*pebble.Instance, cfg Config) []BatchResult {
-	out := make([]BatchResult, len(ins))
-	for i, in := range ins {
-		out[i].Result, out[i].Err = ExactWith(ctx, in, cfg)
-	}
-	return out
 }

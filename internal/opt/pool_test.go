@@ -1,5 +1,12 @@
 package opt
 
+// Tests of the solver arena pool. The pool's correctness bar is
+// byte-identity: a pool-recycled solver must be indistinguishable from a
+// fresh one, which the map-backed oracle (never pooled, see pool.go)
+// provides the clean baseline for. Each batch test solves a list of
+// instances back to back, so from the second solve on every solver is a
+// recycled one.
+
 import (
 	"context"
 	"errors"
@@ -8,6 +15,119 @@ import (
 	"repro/internal/gen"
 	"repro/internal/pebble"
 )
+
+// zooInstances returns the zoo as a batch of instances, with names.
+func zooInstances() ([]*pebble.Instance, []string) {
+	var ins []*pebble.Instance
+	var names []string
+	for _, c := range zooCases() {
+		ins = append(ins, pebble.MustInstance(c.g, c.p))
+		names = append(names, c.name)
+	}
+	return ins, names
+}
+
+// TestSolveBatchMatchesOracleZoo solves the whole zoo (mixed k, so the
+// packed key width changes between consecutive instances — the table-
+// reuse guard's hard case) back to back three times over, at one and at
+// four workers, and requires every Result to be byte-identical to the
+// unpooled oracle run.
+func TestSolveBatchMatchesOracleZoo(t *testing.T) {
+	ctx := context.Background()
+	ins, names := zooInstances()
+	for _, w := range []int{1, 4} {
+		cfg := DefaultConfig(budget)
+		cfg.Workers = w
+		for round := 0; round < 3; round++ {
+			for i, in := range ins {
+				g, err := ExactWith(ctx, in, cfg)
+				if err != nil {
+					t.Fatalf("%s: workers=%d round=%d: %v", names[i], w, round, err)
+				}
+				want, err := exactOracle(in, cfg)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", names[i], err)
+				}
+				if g.Cost != want.Cost || g.States != want.States || g.Pruned != want.Pruned ||
+					g.Incumbent != want.Incumbent || g.LowerBound != want.LowerBound ||
+					g.Status != want.Status || g.ReExpanded != want.ReExpanded {
+					t.Errorf("%s: workers=%d round=%d: pooled (cost %d states %d pruned %d) ≠ oracle (cost %d states %d pruned %d)",
+						names[i], w, round, g.Cost, g.States, g.Pruned, want.Cost, want.States, want.Pruned)
+				}
+			}
+		}
+	}
+}
+
+// TestSolveBatchWitnessReuse recycles witness-mode solvers (the parent
+// arrays join the arena reuse) and checks each reconstructed strategy
+// still replays to its own instance's optimum.
+func TestSolveBatchWitnessReuse(t *testing.T) {
+	ins, _ := zooInstances()
+	for round := 0; round < 2; round++ {
+		for i, in := range ins {
+			res, err := witnessSeq(in, budget)
+			if err != nil {
+				t.Fatalf("round=%d instance=%d: %v", round, i, err)
+			}
+			if res.Strategy == nil {
+				t.Fatalf("round=%d instance=%d: no strategy", round, i)
+			}
+			rep, err := pebble.Replay(in, res.Strategy)
+			if err != nil {
+				t.Fatalf("round=%d instance=%d: replay: %v", round, i, err)
+			}
+			if rep.Cost != res.Cost {
+				t.Errorf("round=%d instance=%d: strategy replays to %d, result says %d",
+					round, i, rep.Cost, res.Cost)
+			}
+		}
+	}
+}
+
+// TestSolveBatchAsync solves the zoo back to back in async mode: every
+// solve must land on the deterministic optimum.
+func TestSolveBatchAsync(t *testing.T) {
+	ctx := context.Background()
+	ins, names := zooInstances()
+	cfg := DefaultConfig(budget)
+	cfg.Workers = 4
+	cfg.Mode = ModeAsync
+	for i, in := range ins {
+		want, err := exactSeq(in, budget)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		res, err := ExactWith(ctx, in, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		if res.Cost != want.Cost {
+			t.Errorf("%s: async cost %d, want %d", names[i], res.Cost, want.Cost)
+		}
+	}
+}
+
+// TestSolveBatchCanceled: back-to-back solves under a canceled context
+// each report their own canceled partial result, and a canceled solve
+// hands its solvers back to the pool in a reusable state.
+func TestSolveBatchCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ins, _ := zooInstances()
+	for i, in := range ins[:3] {
+		res, err := ExactWith(ctx, in, DefaultConfig(budget))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("instance %d: want context.Canceled, got %v", i, err)
+		}
+		if res == nil || res.Status != StatusCanceled {
+			t.Errorf("instance %d: missing canceled partial result", i)
+		}
+	}
+	if res, err := exactSeq(ins[0], budget); err != nil || res.Status != StatusComplete {
+		t.Errorf("solve after canceled batch: result %+v, err %v", res, err)
+	}
+}
 
 // drainSolverPool empties the package solver pool, returning everything
 // it held. Tests drain before a scenario (isolation from earlier tests)
@@ -47,14 +167,13 @@ func TestReleaseDropsOversizedArenas(t *testing.T) {
 	cfg := Config{MaxStates: 20_000, Heuristic: HeuristicFloor, Workers: 1}
 
 	ctx := context.Background()
-	batch := SolveBatch(ctx, []*pebble.Instance{big, small, small}, cfg)
-	bigRes := batch[0].Result
-	if bigRes == nil || !errors.Is(batch[0].Err, ErrBudget) {
-		t.Fatalf("big solve: want a budget-stopped partial, got result %v err %v", bigRes, batch[0].Err)
+	bigRes, err := ExactWith(ctx, big, cfg)
+	if bigRes == nil || !errors.Is(err, ErrBudget) {
+		t.Fatalf("big solve: want a budget-stopped partial, got result %v err %v", bigRes, err)
 	}
-	for i, br := range batch[1:] {
-		if br.Err != nil {
-			t.Fatalf("small solve %d: %v", i, br.Err)
+	for i := 0; i < 2; i++ {
+		if res, err := ExactWith(ctx, small, cfg); err != nil || res.Status != StatusComplete {
+			t.Fatalf("small solve %d: %v", i, err)
 		}
 	}
 	// Precondition: the big search's state table alone (every expanded
@@ -75,13 +194,13 @@ func TestReleaseDropsOversizedArenas(t *testing.T) {
 
 // TestReleaseKeepsModestArenas guards the other direction: ordinary
 // solves stay pooled under the default threshold, so the recycling that
-// batch_test.go's allocation budgets depend on still happens.
+// the allocation budgets depend on still happens.
 func TestReleaseKeepsModestArenas(t *testing.T) {
 	drainSolverPool()
 	in := pebble.MustInstance(gen.Chain(5), pebble.MPP(1, 2, 3))
-	res, err := Exact(in, budget)
+	res, err := exactSeq(in, budget)
 	if err != nil || res.Status != StatusComplete {
-		t.Fatalf("Exact: status %v, err %v", res.Status, err)
+		t.Fatalf("exactSeq: status %v, err %v", res.Status, err)
 	}
 	kept := drainSolverPool()
 	if len(kept) == 0 {

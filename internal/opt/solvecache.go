@@ -17,6 +17,9 @@ package opt
 //     Async callers may still read hits (their statistics are
 //     documented as timing-dependent, so deterministic values satisfy
 //     the contract), and Workers/Mode are deliberately not in the key.
+//     Every deterministic field is worker-count-invariant, but the
+//     witness Strategy is not (Config.Workers): a witness hit may carry
+//     the equally optimal strategy another worker count produced.
 //   - Only StatusComplete results enter the complete-result store, and
 //     only StatusBudget results the partial store. StatusCanceled
 //     (deadline/cancel) results are never cached: a wall-clock stop is
@@ -108,19 +111,6 @@ func SolveCached(ctx context.Context, in *pebble.Instance, cfg Config, sc *Solve
 		sc.c.Put(pkey, cache.Entry{Value: cloneResult(res), Size: resultBytes(res), Budget: sub.MaxStates})
 	}
 	return res, err
-}
-
-// SolveBatchCached is SolveBatch through a cache: each instance is
-// solved via SolveCached under the shared config, so repeated instances
-// inside (or across) batches hit instead of re-searching. Results come
-// back in input order; like SolveBatch, one instance's partial stop
-// does not abort the others.
-func SolveBatchCached(ctx context.Context, ins []*pebble.Instance, cfg Config, sc *SolveCache) []BatchResult {
-	out := make([]BatchResult, len(ins))
-	for i, in := range ins {
-		out[i].Result, out[i].Err = SolveCached(ctx, in, cfg, sc)
-	}
-	return out
 }
 
 // cloneResult returns a copy whose mutation cannot reach the original:

@@ -34,7 +34,7 @@ func TestSolveCachedByteIdenticalZoo(t *testing.T) {
 					t.Fatalf("fresh solve: %v", err)
 				}
 				sc := NewSolveCache(cache.Options{})
-				if _, err := SolveCached(ctx, in, mode.cfg, sc); err != nil {
+				if res, err := SolveCached(ctx, in, mode.cfg, sc); err != nil || res.Status != StatusComplete {
 					t.Fatalf("priming solve: %v", err)
 				}
 				hit, err := SolveCached(ctx, in, mode.cfg, sc)
@@ -79,7 +79,7 @@ func TestSolveCachedPartialEqualBudget(t *testing.T) {
 	}
 
 	sc := NewSolveCache(cache.Options{})
-	if _, err := SolveCached(ctx, in, cfg, sc); !errors.Is(err, ErrBudget) {
+	if res, err := SolveCached(ctx, in, cfg, sc); !errors.Is(err, ErrBudget) || res.Status != StatusBudget {
 		t.Fatalf("priming solve: %v", err)
 	}
 	hit, herr := SolveCached(ctx, in, cfg, sc)
@@ -190,7 +190,7 @@ func TestSolveCachedFileStore(t *testing.T) {
 		t.Fatalf("fresh solve: %v", err)
 	}
 	sc1 := NewSolveCache(cache.Options{Dir: dir})
-	if _, err := SolveCached(ctx, in, cfg, sc1); err != nil {
+	if res, err := SolveCached(ctx, in, cfg, sc1); err != nil || res.Status != StatusComplete {
 		t.Fatalf("priming solve: %v", err)
 	}
 
@@ -218,7 +218,7 @@ func TestSolveCachedAsyncPolicy(t *testing.T) {
 	async.Mode = ModeAsync
 
 	sc := NewSolveCache(cache.Options{})
-	if _, err := SolveCached(ctx, in, async, sc); err != nil {
+	if res, err := SolveCached(ctx, in, async, sc); err != nil || res.Status != StatusComplete {
 		t.Fatalf("async solve: %v", err)
 	}
 	if st := sc.Stats(); st.Entries != 0 {
@@ -276,20 +276,22 @@ func TestSolveCachedNilCache(t *testing.T) {
 	}
 }
 
-// TestSolveBatchCached: duplicate instances inside one batch hit instead
-// of re-searching, and results stay in input order.
+// TestSolveBatchCached: duplicate instances inside one batch of solves
+// sharing a cache hit instead of re-searching.
 func TestSolveBatchCached(t *testing.T) {
 	ctx := context.Background()
 	a := pebble.MustInstance(gen.Chain(5), pebble.MPP(1, 2, 3))
 	b := pebble.MustInstance(gen.Grid2D(2, 3), pebble.MPP(2, 3, 2))
 	sc := NewSolveCache(cache.Options{})
-	out := SolveBatchCached(ctx, []*pebble.Instance{a, b, a}, DefaultConfig(budget), sc)
-	for i, br := range out {
-		if br.Err != nil {
-			t.Fatalf("batch[%d]: %v", i, br.Err)
+	var out []*Result
+	for i, in := range []*pebble.Instance{a, b, a} {
+		res, err := SolveCached(ctx, in, DefaultConfig(budget), sc)
+		if err != nil {
+			t.Fatalf("batch[%d]: %v", i, err)
 		}
+		out = append(out, res)
 	}
-	if !reflect.DeepEqual(out[0].Result, out[2].Result) {
+	if !reflect.DeepEqual(out[0], out[2]) {
 		t.Errorf("repeat instance solved differently within one batch")
 	}
 	if st := sc.Stats(); st.Hits != 1 || st.Misses != 2 {

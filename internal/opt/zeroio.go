@@ -42,20 +42,14 @@ type ZeroIOResult struct {
 // The search memoizes failed computed-sets; worst-case exponential, as it
 // must be unless P = NP. maxStates bounds the number of distinct sets
 // explored; exceeding it returns a partial result (explored-state count,
-// indeterminate verdict) plus an error wrapping ErrBudget.
+// indeterminate verdict) plus an error wrapping ErrBudget. The search
+// polls ctx and likewise stops with an indeterminate partial result when
+// it is canceled or its deadline passes.
 //
 // DAGs beyond the single-word mask capacity (62 nodes) are dispatched to
 // the bitset-backed ZeroIOBig automatically; the two variants decide the
 // same predicate.
-func ZeroIO(g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
-	//lint:ignore ctxthread deliberate non-ctx convenience API; deadline-aware callers use ZeroIOCtx
-	return ZeroIOCtx(context.Background(), g, r, maxStates)
-}
-
-// ZeroIOCtx is ZeroIO honoring a context: the search polls ctx and stops
-// with an indeterminate partial result when it is canceled or its
-// deadline passes.
-func ZeroIOCtx(ctx context.Context, g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
+func ZeroIO(ctx context.Context, g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
 	n := g.N()
 	if n > zeroIOWordCap {
 		// A single uint64 mask cannot hold the computed-set; fall through
@@ -168,7 +162,7 @@ func ZeroIOCtx(ctx context.Context, g *dag.Graph, r int, maxStates int) (*ZeroIO
 
 // zeroIOWordCap is the largest node count the single-uint64-mask solver
 // accepts. 62 leaves headroom below the 64-bit word so `1<<n` arithmetic
-// can never overflow, matching the Exact solver's packed-state cap;
+// can never overflow, matching ExactWith's packed-state cap;
 // larger DAGs auto-dispatch to the bitset variant.
 const zeroIOWordCap = 62
 

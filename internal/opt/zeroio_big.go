@@ -13,15 +13,7 @@ import (
 // instances exceed 62 nodes. Same semantics as ZeroIO, including anytime
 // behavior: on budget or cancellation it returns the explored-state count
 // with an indeterminate verdict.
-func ZeroIOBig(g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
-	//lint:ignore ctxthread deliberate non-ctx convenience API; deadline-aware callers use ZeroIOBigCtx
-	return zeroIOBig(context.Background(), g, r, maxStates, nil)
-}
-
-// ZeroIOBigCtx is ZeroIOBig honoring a context: the search polls ctx and
-// stops with an indeterminate partial result when it is canceled or its
-// deadline passes.
-func ZeroIOBigCtx(ctx context.Context, g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
+func ZeroIOBig(ctx context.Context, g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
 	return zeroIOBig(ctx, g, r, maxStates, nil)
 }
 

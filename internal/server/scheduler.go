@@ -166,9 +166,12 @@ func (s *Scheduler) run(ctx context.Context, it item) {
 		return
 	}
 
-	jctx, cancel := context.WithCancel(ctx)
+	var jctx context.Context
+	var cancel context.CancelFunc
 	if it.timeout > 0 {
 		jctx, cancel = context.WithTimeout(ctx, it.timeout)
+	} else {
+		jctx, cancel = context.WithCancel(ctx)
 	}
 	s.mu.Lock()
 	s.running[it.id] = cancel

@@ -87,12 +87,9 @@ type (
 	// ModeAsync (speculative HDA*, same proven optima, timing-dependent
 	// statistics — see DESIGN.md §6).
 	SearchMode = opt.Mode
-	// BatchResult pairs one instance's OptResult with its solve error in
-	// a SolveBatch result set.
-	BatchResult = opt.BatchResult
 	// SolveCache memoizes exact-solver results behind canonical instance
 	// fingerprints (DAG structure + Params + the result-affecting config
-	// subset); pass one to SolveCached/SolveBatchCached. See
+	// subset); pass one to SolveCached. See
 	// internal/cache for the key-derivation and partial-result policy.
 	SolveCache = opt.SolveCache
 	// CacheOptions sizes a SolveCache (entry/byte bounds) and optionally
@@ -118,29 +115,12 @@ var ErrBudget = opt.ErrBudget
 // rather than a hard failure.
 func IsPartial(err error) bool { return opt.IsPartial(err) }
 
-// Exact computes the optimal pebbling cost by exhaustive search,
-// exploring at most maxStates configurations. On budget exhaustion it
-// returns the best incumbent found plus a lower bound alongside a
-// partial-status error.
-func Exact(in *Instance, maxStates int) (*OptResult, error) { return opt.Exact(in, maxStates) }
-
-// ExactCtx is Exact with cancellation: the search also stops when ctx
-// expires, again returning its incumbent/lower-bound bracket.
-func ExactCtx(ctx context.Context, in *Instance, maxStates int) (*OptResult, error) {
-	return opt.ExactCtx(ctx, in, maxStates)
-}
-
-// ExactWith is ExactCtx with an explicit SearchConfig — heuristic mode
-// and dominance pruning — instead of the default full stack.
+// ExactWith computes the optimal pebbling cost by exhaustive search
+// under cfg (opt.DefaultConfig is the full heuristic and pruning stack).
+// When cfg.MaxStates is exhausted or ctx expires it returns the best
+// incumbent found plus a lower bound alongside a partial-status error.
 func ExactWith(ctx context.Context, in *Instance, cfg SearchConfig) (*OptResult, error) {
 	return opt.ExactWith(ctx, in, cfg)
-}
-
-// SolveBatch solves many instances under one SearchConfig, recycling
-// the solver arenas (state tables, queues, scratch) between instances;
-// results come back in input order, one per instance.
-func SolveBatch(ctx context.Context, ins []*Instance, cfg SearchConfig) []BatchResult {
-	return opt.SolveBatch(ctx, ins, cfg)
 }
 
 // NewSolveCache returns an exact-solve memoization cache under the
@@ -156,20 +136,11 @@ func SolveCached(ctx context.Context, in *Instance, cfg SearchConfig, sc *SolveC
 	return opt.SolveCached(ctx, in, cfg, sc)
 }
 
-// SolveBatchCached is SolveBatch through a cache: repeated instances
-// inside or across batches hit instead of re-searching.
-func SolveBatchCached(ctx context.Context, ins []*Instance, cfg SearchConfig, sc *SolveCache) []BatchResult {
-	return opt.SolveBatchCached(ctx, ins, cfg, sc)
-}
-
 // ZeroIO decides whether g has a zero-I/O pebbling with r red pebbles
-// (the Theorem 2 decision problem). Interrupted runs report
-// VerdictIndeterminate.
-func ZeroIO(g *Graph, r, maxStates int) (*ZeroIOResult, error) { return opt.ZeroIO(g, r, maxStates) }
-
-// ZeroIOCtx is ZeroIO with cancellation.
-func ZeroIOCtx(ctx context.Context, g *Graph, r, maxStates int) (*ZeroIOResult, error) {
-	return opt.ZeroIOCtx(ctx, g, r, maxStates)
+// (the Theorem 2 decision problem). Runs interrupted by the state budget
+// or by ctx report VerdictIndeterminate.
+func ZeroIO(ctx context.Context, g *Graph, r, maxStates int) (*ZeroIOResult, error) {
+	return opt.ZeroIO(ctx, g, r, maxStates)
 }
 
 // ScheduleCtx runs a scheduler under a context; schedulers that support

@@ -33,6 +33,13 @@ go build ./...
 echo "== go test =="
 go test ${SHORT:+-short} ./...
 
+echo "== bench module =="
+# bench/ is its own Go module (repro/bench, replace repro => ../), so the
+# root build and test above skip it: build and test it here, so that a
+# renamed or removed entry point cannot break the benchmark unnoticed.
+# -o /dev/null keeps the single main package from leaving a binary.
+(cd bench && go build -o /dev/null ./... && go test ./...)
+
 echo "== go test -race =="
 # The sharded exact solver (opt.Config.Workers > 1) routes states across
 # shard goroutines over channels with an atomic incumbent/budget — so
