@@ -3,7 +3,8 @@
 // running schedulers / proof strategies / exact solvers, and checking that
 // the claimed shape (who wins, by what factor, where crossovers fall)
 // holds. cmd/mppexp renders the tables recorded in EXPERIMENTS.md; the
-// root bench_test.go exposes each experiment as a benchmark.
+// repository benchmark (bench/) times the whole registry as its suite
+// workload.
 package exp
 
 import (

@@ -102,8 +102,8 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode parses "deterministic" or "async" (the flag spelling used by
-// cmd/mppbench and cmd/mppexp).
+// ParseMode parses "deterministic" or "async" (the spelling used by
+// cmd/mppexp's -mode flag and the server's job requests).
 func ParseMode(s string) (Mode, bool) {
 	switch s {
 	case "deterministic":

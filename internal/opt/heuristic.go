@@ -67,8 +67,8 @@ func (m HeuristicMode) String() string {
 	return "unknown"
 }
 
-// ParseHeuristicMode parses "floor", "io" or "max" (the flag spelling
-// used by cmd/mppbench).
+// ParseHeuristicMode parses "floor", "io" or "max" (the spelling used
+// by the server's job requests).
 func ParseHeuristicMode(s string) (HeuristicMode, bool) {
 	switch s {
 	case "floor":

@@ -7,10 +7,9 @@ package opt
 // dominance index and the expansion scratch. All of them reset in O(1)
 // or O(capacity-touched) without releasing memory, so solvers are
 // recycled through a package-level sync.Pool: every ExactWith call (and
-// therefore cmd/mppexp -j, the exp helpers, the server workers and the
-// cmd/mppbench sweeps) reuses arenas from earlier searches
-// automatically, which is what makes solving many instances back to
-// back cheap.
+// therefore cmd/mppexp -j, the exp helpers and the server workers)
+// reuses arenas from earlier searches automatically, which is what makes
+// solving many instances back to back cheap.
 //
 // Oracle runs (a caller-supplied table constructor, see exact.go) stay
 // outside the pool: a map-backed hashtab.Ref is a test double, not a

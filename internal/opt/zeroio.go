@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/dag"
 	"repro/internal/hashtab"
@@ -42,7 +43,8 @@ type ZeroIOResult struct {
 // The search memoizes failed computed-sets; worst-case exponential, as it
 // must be unless P = NP. maxStates bounds the number of distinct sets
 // explored; exceeding it returns a partial result (explored-state count,
-// indeterminate verdict) plus an error wrapping ErrBudget. The search
+// indeterminate verdict) plus an error wrapping ErrBudget. Non-positive
+// maxStates means unbounded, as for Config.MaxStates. The search
 // polls ctx and likewise stops with an indeterminate partial result when
 // it is canceled or its deadline passes.
 //
@@ -58,6 +60,9 @@ func ZeroIO(ctx context.Context, g *dag.Graph, r int, maxStates int) (*ZeroIORes
 	}
 	if n == 0 {
 		return &ZeroIOResult{Feasible: true, Verdict: VerdictFeasible}, nil
+	}
+	if maxStates <= 0 {
+		maxStates = math.MaxInt
 	}
 
 	predMask := make([]uint64, n)

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/bitset"
 	"repro/internal/dag"
@@ -12,7 +13,7 @@ import (
 // of single-word masks. It is used by the hardness reductions, whose
 // instances exceed 62 nodes. Same semantics as ZeroIO, including anytime
 // behavior: on budget or cancellation it returns the explored-state count
-// with an indeterminate verdict.
+// with an indeterminate verdict; non-positive maxStates means unbounded.
 func ZeroIOBig(ctx context.Context, g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
 	return zeroIOBig(ctx, g, r, maxStates, nil)
 }
@@ -29,6 +30,9 @@ func zeroIOBig(ctx context.Context, g *dag.Graph, r int, maxStates int, failed h
 	}
 	if err := ctx.Err(); err != nil {
 		return &ZeroIOResult{Verdict: VerdictIndeterminate, Status: StatusCanceled}, cancelErr(ctx, 0)
+	}
+	if maxStates <= 0 {
+		maxStates = math.MaxInt
 	}
 	isSink := make([]bool, n)
 	for _, v := range g.Sinks() {

@@ -18,6 +18,12 @@ import (
 // certified lower bound. It is skipped by default because the 10⁶-node
 // instances take a few seconds each and verify.sh runs it as a dedicated
 // step rather than inside the -race sweep.
+//
+// On the 10⁵-node cases it is also the allocation audit: the engines are
+// O(n)-allocation by design, and allocs/op on a fixed instance is
+// deterministic, so a count above 1.3× the pinned value means a map or a
+// per-round allocation crept back into a hot path. The pins were measured
+// without -race, which is how verify.sh runs this test.
 func TestSchedSmoke(t *testing.T) {
 	if os.Getenv("SCHED_SMOKE") == "" {
 		t.Skip("set SCHED_SMOKE=1 to run the large-instance smoke test")
@@ -25,10 +31,13 @@ func TestSchedSmoke(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() *dag.Graph
+		// greedyAllocs and partAllocs pin allocs/op of Greedy and
+		// Partitioned(levels); zero skips the audit.
+		greedyAllocs, partAllocs float64
 	}{
-		{"grid-1e5", func() *dag.Graph { return gen.Grid2D(320, 320) }},
-		{"wavefront-1e5", func() *dag.Graph { return gen.Wavefront(500, 200) }},
-		{"wavefront-1e6", func() *dag.Graph { return gen.Wavefront(2000, 500) }},
+		{"grid-1e5", func() *dag.Graph { return gen.Grid2D(320, 320) }, 433_863, 716_683},
+		{"wavefront-1e5", func() *dag.Graph { return gen.Wavefront(500, 200) }, 424_411, 946_361},
+		{"wavefront-1e6", func() *dag.Graph { return gen.Wavefront(2000, 500) }, 0, 0},
 	}
 	const k = 4
 	for _, tc := range cases {
@@ -41,15 +50,29 @@ func TestSchedSmoke(t *testing.T) {
 		if lower <= 0 {
 			t.Fatalf("%s: certified lower bound %d not positive", tc.name, lower)
 		}
-		scheds := []Scheduler{
-			Greedy{},
-			Partitioned{Assign: AssignLevelRoundRobin, AssignName: "levels"},
+		scheds := []struct {
+			s      Scheduler
+			allocs float64
+		}{
+			{Greedy{}, tc.greedyAllocs},
+			{Partitioned{Assign: AssignLevelRoundRobin, AssignName: "levels"}, tc.partAllocs},
 		}
-		for _, s := range scheds {
+		for _, sc := range scheds {
+			s, pin := sc.s, sc.allocs
 			t.Run(fmt.Sprintf("%s/%s", tc.name, s.Name()), func(t *testing.T) {
-				start := time.Now()
-				strat, err := s.Schedule(in)
-				elapsed := time.Since(start)
+				var strat *pebble.Strategy
+				var err error
+				var elapsed time.Duration
+				schedule := func() {
+					start := time.Now()
+					strat, err = s.Schedule(in)
+					elapsed = time.Since(start)
+				}
+				if pin == 0 {
+					schedule()
+				} else if allocs := testing.AllocsPerRun(1, schedule); allocs > 1.3*pin {
+					t.Errorf("%.0f allocs/op, more than 1.3× the pinned %.0f", allocs, pin)
+				}
 				if err != nil {
 					t.Fatalf("schedule failed after %v: %v", elapsed, err)
 				}

@@ -137,8 +137,9 @@ func SolveCached(ctx context.Context, in *Instance, cfg SearchConfig, sc *SolveC
 }
 
 // ZeroIO decides whether g has a zero-I/O pebbling with r red pebbles
-// (the Theorem 2 decision problem). Runs interrupted by the state budget
-// or by ctx report VerdictIndeterminate.
+// (the Theorem 2 decision problem). maxStates bounds the states explored
+// (non-positive means unbounded); runs interrupted by the state budget or
+// by ctx report VerdictIndeterminate.
 func ZeroIO(ctx context.Context, g *Graph, r, maxStates int) (*ZeroIOResult, error) {
 	return opt.ZeroIO(ctx, g, r, maxStates)
 }
