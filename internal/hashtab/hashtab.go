@@ -58,12 +58,21 @@ func Hash(key []uint64) uint64 {
 
 // Table maps fixed-width []uint64 keys to dense indices via linear-probe
 // open addressing. The zero value is not usable; call New.
+//
+// A slot is an int32: -1 when empty, else a key index in its low bits
+// and a tag in the bits above them. A slot array of 2^b slots holds
+// indices below ¾·2^b, so bits b..30 of an occupied slot are free; they
+// carry hash bits 32+b..62 of the key, which the slot position (hash
+// bits 0..b-1) does not use. A probe compares tags before it reads the
+// key arena, so a probe step that lands on another key reads the arena
+// only when the two tags collide.
 type Table struct {
-	wpk   int      // words per key
-	keys  []uint64 // arena: key i occupies keys[i*wpk : (i+1)*wpk]
-	slots []int32  // slot array: -1 = empty, else key index
-	mask  uint64   // len(slots)-1, len(slots) a power of two
-	limit int      // grow when Len() reaches this (¾ load)
+	wpk     int      // words per key
+	keys    []uint64 // arena: key i occupies keys[i*wpk : (i+1)*wpk]
+	slots   []int32  // slot array: -1 = empty, else tag | key index
+	mask    uint64   // len(slots)-1, len(slots) a power of two
+	tagMask uint32   // slot bits above the index: 0x7fffffff &^ mask
+	limit   int      // grow when Len() reaches this (¾ load)
 }
 
 // New returns an empty table for keys of wordsPerKey words, pre-sized to
@@ -92,6 +101,7 @@ func (t *Table) initSlots(n int) {
 		t.slots[i] = -1
 	}
 	t.mask = uint64(n - 1)
+	t.tagMask = 0x7fffffff &^ uint32(t.mask)
 	t.limit = n * 3 / 4
 }
 
@@ -119,23 +129,40 @@ func (t *Table) keyEqual(i int, key []uint64) bool {
 	return true
 }
 
+// tag returns the tag bits of hash h for the current slot array.
+//
+//mpp:hotpath
+func (t *Table) tag(h uint64) uint32 { return uint32(h>>32) & t.tagMask }
+
+// lookup probes for key, whose hash is h. It returns the key's index,
+// or -1 and the free slot that ends the probe when the key is absent.
+//
+//mpp:hotpath
+func (t *Table) lookup(key []uint64, h uint64) (idx int, slot uint64) {
+	tag := t.tag(h)
+	slot = h & t.mask
+	for {
+		e := t.slots[slot]
+		if e < 0 {
+			return -1, slot
+		}
+		if uint32(e)&t.tagMask == tag {
+			if i := int(uint32(e) &^ t.tagMask); t.keyEqual(i, key) {
+				return i, slot
+			}
+		}
+		slot = (slot + 1) & t.mask
+	}
+}
+
 // Find returns the index of key, or (-1, false) when absent. len(key)
 // must equal WordsPerKey. Find never allocates.
 //
 //mpp:hotpath
 func (t *Table) Find(key []uint64) (int, bool) {
 	t.checkWidth(key)
-	slot := Hash(key) & t.mask
-	for {
-		idx := t.slots[slot]
-		if idx < 0 {
-			return -1, false
-		}
-		if t.keyEqual(int(idx), key) {
-			return int(idx), true
-		}
-		slot = (slot + 1) & t.mask
-	}
+	idx, _ := t.lookup(key, Hash(key))
+	return idx, idx >= 0
 }
 
 // Insert returns the index of key, inserting it if absent. existed
@@ -146,39 +173,36 @@ func (t *Table) Find(key []uint64) (int, bool) {
 //mpp:hotpath
 func (t *Table) Insert(key []uint64) (idx int, existed bool) {
 	t.checkWidth(key)
-	slot := Hash(key) & t.mask
-	for {
-		i := t.slots[slot]
-		if i < 0 {
-			break
-		}
-		if t.keyEqual(int(i), key) {
-			return int(i), true
-		}
-		slot = (slot + 1) & t.mask
+	h := Hash(key)
+	idx, slot := t.lookup(key, h)
+	if idx >= 0 {
+		return idx, true
 	}
 	n := t.Len()
 	if n >= t.limit {
 		t.rehash(len(t.slots) * 2)
 		// The target slot moved; re-probe in the fresh slot array.
-		slot = Hash(key) & t.mask
-		for t.slots[slot] >= 0 {
-			slot = (slot + 1) & t.mask
-		}
+		slot = t.freeSlot(h)
 	}
 	t.keys = append(t.keys, key...)
-	t.slots[slot] = int32(n)
+	t.slots[slot] = int32(t.tag(h) | uint32(n))
 	return n, false
+}
+
+// freeSlot returns the first empty slot on the probe sequence of hash h.
+func (t *Table) freeSlot(h uint64) uint64 {
+	slot := h & t.mask
+	for t.slots[slot] >= 0 {
+		slot = (slot + 1) & t.mask
+	}
+	return slot
 }
 
 func (t *Table) rehash(newSize int) {
 	t.initSlots(newSize)
 	for i, n := 0, t.Len(); i < n; i++ {
-		slot := Hash(t.Key(i)) & t.mask
-		for t.slots[slot] >= 0 {
-			slot = (slot + 1) & t.mask
-		}
-		t.slots[slot] = int32(i)
+		h := Hash(t.Key(i))
+		t.slots[t.freeSlot(h)] = int32(t.tag(h) | uint32(i))
 	}
 }
 

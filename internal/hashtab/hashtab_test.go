@@ -169,3 +169,76 @@ func TestTablePanicsOnWidthMismatch(t *testing.T) {
 	}()
 	New(2, 0).Insert([]uint64{1})
 }
+
+// TestTableTagCollisions covers the case the random-ops test almost
+// never reaches: two distinct keys whose slots carry equal tags. A
+// birthday search over Hash finds two keys with the same home slot and
+// the same tag in a 16-slot table, so the second key's probe meets the
+// first key's slot with a matching tag and only the key arena can tell
+// them apart. Insert and Find must keep them apart, in agreement with
+// Ref, before and after the table rehashes.
+func TestTableTagCollisions(t *testing.T) {
+	const wpk = 2
+	tab := New(wpk, 0)
+	if len(tab.slots) != 16 {
+		t.Fatalf("New(%d, 0) has %d slots, want 16", wpk, len(tab.slots))
+	}
+	// A slot's tag and home position together: 27 tag bits above the 4
+	// index bits, plus the 4 position bits.
+	sig := func(key []uint64) uint64 {
+		h := Hash(key)
+		return uint64(tab.tag(h))<<4 | h&tab.mask
+	}
+	seen := make(map[uint64]uint64)
+	var a, b []uint64
+	for i := uint64(0); a == nil; i++ {
+		key := []uint64{i, 0x5eed}
+		s := sig(key)
+		if j, ok := seen[s]; ok {
+			a, b = []uint64{j, 0x5eed}, key
+		}
+		seen[s] = i
+	}
+	ha, hb := Hash(a), Hash(b)
+	if ha == hb || tab.tag(ha) != tab.tag(hb) || ha&tab.mask != hb&tab.mask {
+		t.Fatalf("birthday search returned keys %v, %v without a tag collision", a, b)
+	}
+
+	ref := NewRef(wpk)
+	check := func(stage string) {
+		t.Helper()
+		for _, key := range [][]uint64{a, b} {
+			ti, tok := tab.Find(key)
+			ri, rok := ref.Find(key)
+			if ti != ri || tok != rok {
+				t.Fatalf("%s: Find(%v) = (%d,%v), Ref says (%d,%v)", stage, key, ti, tok, ri, rok)
+			}
+			ti, te := tab.Insert(key)
+			ri, re := ref.Insert(key)
+			if ti != ri || te != re {
+				t.Fatalf("%s: Insert(%v) = (%d,%v), Ref says (%d,%v)", stage, key, ti, te, ri, re)
+			}
+		}
+	}
+	check("empty table")
+	// Fill past the 12-key growth limit: the table rehashes to 32 and
+	// 64 slots, where the two keys' tags are recomputed with fewer bits.
+	for i := uint64(0); i < 40; i++ {
+		key := []uint64{i, 0xf111}
+		ti, te := tab.Insert(key)
+		ri, re := ref.Insert(key)
+		if ti != ri || te != re {
+			t.Fatalf("filler Insert(%v) = (%d,%v), Ref says (%d,%v)", key, ti, te, ri, re)
+		}
+	}
+	if len(tab.slots) <= 16 {
+		t.Fatalf("table did not rehash: %d slots", len(tab.slots))
+	}
+	check("after rehash")
+	if ia, _ := tab.Find(a); ia != 0 {
+		t.Fatalf("first colliding key at index %d, want 0", ia)
+	}
+	if ib, _ := tab.Find(b); ib != 1 {
+		t.Fatalf("second colliding key at index %d, want 1", ib)
+	}
+}

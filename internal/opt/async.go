@@ -34,10 +34,12 @@ package opt
 //     optimality proof.
 //
 // Dominance pruning stays sound: a state is settled into the dominance
-// index at its (first) expansion instead of at a wave boundary. The
-// strict-inequality test reads the dominator's *current* g dynamically,
-// so a dominator that is later improved only prunes more; pruning never
-// removes a state whose completions cannot be simulated (dominate.go).
+// index at every expansion, at the g it was expanded with, instead of
+// at a wave boundary. A re-expansion at a lower g adds a record that
+// covers, and so unlinks, the state's older one; the strict-inequality
+// test only ever compares against a g some path really reached, so
+// pruning never removes a state whose completions cannot be simulated
+// (dominate.go).
 //
 // Quiescence detection — the busy/inflight/activity protocol:
 //
@@ -152,13 +154,12 @@ func (s *solver) asyncExpand(ent bqEntry, f int64) expandOutcome {
 	}
 	s.expandedMark[ent.idx] = true
 	s.expanded++
-	if s.useDom && !s.settledMark[ent.idx] {
-		// Settle at first expansion (the wave engine settles at wave
-		// boundaries): sound either way, and the mark keeps a reopened
-		// state from entering the dominance index twice.
-		s.settledMark[ent.idx] = true
+	if s.useDom {
+		// Settle at every expansion, at its g (the wave engine settles
+		// at wave boundaries): sound either way, and a reopened state's
+		// cheaper record replaces its older one in the index.
 		k := s.in.K
-		s.dom.add(s.cur[k], s.cur[k+1], ent.idx)
+		s.dom.add(s.cur[k], s.cur[k+1], ent.g, s.cur[:k])
 	}
 	s.curIdx = ent.idx
 	s.expand(ent.g)

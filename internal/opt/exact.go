@@ -249,15 +249,12 @@ type solver struct {
 	// settled-set definition for dominance pruning. In async mode the
 	// mark is cleared again when a cheaper path reopens the state.
 	expandedMark []bool
-	// settledMark (async + dominance only) remembers states already
-	// registered in the dominance index, so a reopened state is not
-	// added twice on re-expansion.
-	settledMark []bool
-	dom         *domIndex
-	pruned      int
-	expanded    int // states expanded by this shard
-	reopened    int // async: expanded states reopened by a better g
-	pops        int // worklist entries examined, for ctx-poll throttling
+	dom          *domIndex
+	domVisits    int // dominance records visited by dominated (tests pin it)
+	pruned       int
+	expanded     int // states expanded by this shard
+	reopened     int // async: expanded states reopened by a better g
+	pops         int // worklist entries examined, for ctx-poll throttling
 
 	// Wave bookkeeping: the current wave's drained bucket contents and
 	// the state indices expanded during it (settled into the dominance
@@ -427,9 +424,6 @@ func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
 	}
 	s.dist = append(s.dist, cost)
 	s.expandedMark = append(s.expandedMark, false)
-	if s.async && s.useDom {
-		s.settledMark = append(s.settledMark, false)
-	}
 	if s.witness {
 		s.parent = append(s.parent, parentEdge{from: stateRef{idx: -1}})
 	}

@@ -49,6 +49,21 @@ func exactOracle(in *pebble.Instance, cfg Config) (*Result, error) {
 	return exact(context.Background(), in, cfg, func() hashtab.Index { return hashtab.NewRef(stateWords(in.K)) })
 }
 
+// exactVisits is ExactWith that also returns the number of dominance
+// records its checks visited, summed over shards — the work measure of
+// the dominance index. The solvers stay out of the pool, so their
+// counters are read before anything can recycle them.
+func exactVisits(in *pebble.Instance, cfg Config) (*Result, int, error) {
+	newTab := func() hashtab.Index { return hashtab.New(stateWords(in.K), 1024) }
+	eng := newEngine(context.Background(), in, cfg, newTab, false)
+	res, err := eng.run()
+	visits := 0
+	for _, s := range eng.shards {
+		visits += s.domVisits
+	}
+	return res, visits, err
+}
+
 // zeroIOBigOracle is ZeroIOBig backed by the map-based reference memo.
 func zeroIOBigOracle(g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
 	words := (g.N() + 63) / 64

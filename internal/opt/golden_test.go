@@ -17,16 +17,19 @@ const goldenBudget = 1_000_000
 
 // TestGoldenStates is the regression gate for the exponential searches:
 // on fixed instances every deterministic search expands an exact number
-// of states, so any change to the heuristics, dominance pruning, twin
-// canonicalization or expansion order shows up here as a moved count.
-// The counts are pinned, not bounded: a deliberate improvement updates
-// this table in the same change that earns it.
+// of states and prunes an exact number of candidates, so any change to
+// the heuristics, dominance pruning, twin canonicalization or expansion
+// order shows up here as a moved count. The counts are pinned, not
+// bounded: a deliberate improvement updates this table in the same
+// change that earns it.
 //
 // Every exact row runs at Workers=1. Deterministic counts are identical
 // at every worker count (parallel_test.go), and ModeAsync at one worker
-// has no concurrency, so its count is deterministic too.
+// has no concurrency, so its count is deterministic too. The grid3x3-k2
+// rows are the ones whose dominance chains reach realistic lengths.
 func TestGoldenStates(t *testing.T) {
 	grid3x3 := pebble.MustInstance(gen.Grid2D(3, 3), pebble.MPP(1, 4, 2))
+	grid3x3k2 := pebble.MustInstance(gen.Grid2D(3, 3), pebble.MPP(2, 3, 2))
 	grid2x3 := pebble.MustInstance(gen.Grid2D(2, 3), pebble.MPP(2, 3, 2))
 	zipg, _ := gen.Zipper(2, 3, 0)
 	zipper := pebble.MustInstance(zipg, pebble.MPP(1, 4, 5))
@@ -48,20 +51,23 @@ func TestGoldenStates(t *testing.T) {
 		cfg    Config
 		cost   int64
 		states int
+		pruned int
 	}{
-		{"grid3x3-k1/default", grid3x3, def, 9, 36},
-		{"grid2x3-k2/default", grid2x3, def, 6, 272},
-		{"grid2x3-k2/floor", grid2x3, floorCfg, 6, 1283},
-		{"grid2x3-k2/io", grid2x3, ioCfg, 6, 575},
-		{"grid2x3-k2/max", grid2x3, maxCfg, 6, 575},
-		{"grid2x3-k2/async", grid2x3, async, 6, 116},
-		{"grid2x3-k2/witness", grid2x3, witness, 6, 1099},
-		{"zipper2x3-k1-g5/default", zipper, def, 9, 66},
-		{"zipper2x3-k1-g5/floor", zipper, floorCfg, 9, 209},
-		{"zipper2x3-k1-g5/io", zipper, ioCfg, 9, 142},
-		{"zipper2x3-k1-g5/max", zipper, maxCfg, 9, 142},
-		{"zipper2x3-k1-g5/async", zipper, async, 9, 45},
-		{"zipper2x3-k1-g5/witness", zipper, witness, 9, 142},
+		{"grid3x3-k1/default", grid3x3, def, 9, 36, 3},
+		{"grid3x3-k2/default", grid3x3k2, def, 11, 75_981, 129_460},
+		{"grid3x3-k2/async", grid3x3k2, async, 11, 54_778, 134_097},
+		{"grid2x3-k2/default", grid2x3, def, 6, 272, 491},
+		{"grid2x3-k2/floor", grid2x3, floorCfg, 6, 1283, 0},
+		{"grid2x3-k2/io", grid2x3, ioCfg, 6, 575, 0},
+		{"grid2x3-k2/max", grid2x3, maxCfg, 6, 575, 0},
+		{"grid2x3-k2/async", grid2x3, async, 6, 116, 171},
+		{"grid2x3-k2/witness", grid2x3, witness, 6, 1099, 0},
+		{"zipper2x3-k1-g5/default", zipper, def, 9, 66, 55},
+		{"zipper2x3-k1-g5/floor", zipper, floorCfg, 9, 209, 0},
+		{"zipper2x3-k1-g5/io", zipper, ioCfg, 9, 142, 0},
+		{"zipper2x3-k1-g5/max", zipper, maxCfg, 9, 142, 0},
+		{"zipper2x3-k1-g5/async", zipper, async, 9, 45, 22},
+		{"zipper2x3-k1-g5/witness", zipper, witness, 9, 142, 0},
 	}
 	for _, row := range exactRows {
 		t.Run(row.name, func(t *testing.T) {
@@ -69,9 +75,9 @@ func TestGoldenStates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Cost != row.cost || res.States != row.states {
-				t.Errorf("cost %d in %d states, want cost %d in %d states",
-					res.Cost, res.States, row.cost, row.states)
+			if res.Cost != row.cost || res.States != row.states || res.Pruned != row.pruned {
+				t.Errorf("cost %d in %d states, %d pruned; want cost %d in %d states, %d pruned",
+					res.Cost, res.States, res.Pruned, row.cost, row.states, row.pruned)
 			}
 		})
 	}

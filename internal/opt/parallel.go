@@ -32,11 +32,8 @@ package opt
 //     operations, so apply order within a wave cannot change any
 //     distance, and a consistent heuristic rules out same-layer
 //     re-improvement). Worker count only changes *where* states live,
-//     never *which* states expand — so States, LowerBound, Cost and the
-//     incumbent are byte-identical for every worker count. The one
-//     exception: in one-shot mode the dead-state share of Pruned counts
-//     improvement events, whose within-wave order is worker-dependent
-//     (Result.Pruned documents this).
+//     never *which* states expand — so States, Pruned, LowerBound, Cost
+//     and the incumbent are byte-identical for every worker count.
 //   - The incumbent is a search-wide atomic min (offerIncumbent); a
 //     layer whose F reaches the incumbent proves it optimal — the goal
 //     check that a sequential A* does at pop time happens here at the
@@ -416,16 +413,17 @@ func (s *solver) expandWave(f int64) {
 }
 
 // settleWave registers the wave's expanded states in the dominance
-// index. Settling at the wave boundary (not per expansion) is what
-// makes the dominator set visible to any candidate a pure function of
-// the wave number — identical for every worker count. Soundness is
-// unaffected: a smaller dominator set only prunes less.
+// index, each at its final g-cost. Settling at the wave boundary (not
+// per expansion) is what makes the dominator set visible to any
+// candidate a pure function of the wave number — identical for every
+// worker count. Soundness is unaffected: a smaller dominator set only
+// prunes less.
 func (s *solver) settleWave() {
 	if s.useDom {
 		k := s.in.K
 		for _, idx := range s.waveExp {
 			w := s.tab.Key(int(idx))
-			s.dom.add(w[k], w[k+1], idx)
+			s.dom.add(w[k], w[k+1], s.dist[idx], w[:k])
 		}
 	}
 	s.waveExp = s.waveExp[:0]

@@ -60,7 +60,6 @@ func (s *solver) arenaBytes() int64 {
 	b += int64(cap(s.dist))*8 + sliceHdrBytes
 	b += int64(cap(s.parent))*parentEdgeBytes + sliceHdrBytes
 	b += int64(cap(s.expandedMark)) + sliceHdrBytes
-	b += int64(cap(s.settledMark)) + sliceHdrBytes
 	b += int64(cap(s.worklist))*bqEntryBytes + sliceHdrBytes
 	b += int64(cap(s.waveExp))*4 + sliceHdrBytes
 	for _, bucket := range s.bq.buckets {
@@ -69,7 +68,7 @@ func (s *solver) arenaBytes() int64 {
 	b += int64(cap(s.bq.buckets)) * sliceHdrBytes
 	if s.dom != nil {
 		b += int64(cap(s.dom.slots))*4 + int64(cap(s.dom.keys))*8
-		b += int64(cap(s.dom.next))*4 + int64(cap(s.dom.state))*4
+		b += int64(cap(s.dom.recs)) * 8
 	}
 	return b
 }
@@ -99,6 +98,7 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	s.async = cfg.Mode == ModeAsync
 	s.eng, s.shard = e, shard
 	s.pruned, s.expanded, s.reopened, s.pops = 0, 0, 0, 0
+	s.domVisits = 0
 	s.markers = 0
 	s.curIdx = 0
 	s.initDerived()
@@ -111,16 +111,15 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	}
 	s.dist = s.dist[:0]
 	s.expandedMark = s.expandedMark[:0]
-	s.settledMark = s.settledMark[:0]
 	s.parent = s.parent[:0]
 	s.bq.reset()
 	s.worklist = s.worklist[:0]
 	s.waveExp = s.waveExp[:0]
 	if s.useDom {
 		if s.dom == nil {
-			s.dom = newDomIndex()
+			s.dom = newDomIndex(in.K)
 		} else {
-			s.dom.reset()
+			s.dom.reset(in.K)
 		}
 	}
 	if e.nShards > 1 {

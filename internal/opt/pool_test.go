@@ -190,6 +190,28 @@ func TestReleaseDropsOversizedArenas(t *testing.T) {
 				b, maxPooledArenaBytes)
 		}
 	}
+
+	// A solver whose only oversized arena is the dominance index's
+	// record arena. Every other arena is empty, and the index's slot
+	// array stays at its initial size: 64 keys, each with 256 records
+	// (reds (i, ^i) never cover one another). If arenaBytes left the
+	// records out, the solver would look small and be pooled.
+	const k = 2
+	dom := newDomIndex(k)
+	for i := uint64(0); i < 64*256; i++ {
+		dom.add(0, i%64, 1, []uint64{i, ^i})
+	}
+	if recBytes := int64(len(dom.recs)) * 8; recBytes <= maxPooledArenaBytes {
+		t.Fatalf("record arena holds %d bytes, not past the %d-byte threshold", recBytes, maxPooledArenaBytes)
+	}
+	domOnly := &solver{dom: dom}
+	(&engine{pooled: true, shards: []*solver{domOnly}}).release()
+	for _, s := range drainSolverPool() {
+		if s == domOnly {
+			t.Errorf("pool retains a solver whose dominance index holds %d record words (threshold %d bytes): the records must count as arena bytes",
+				len(dom.recs), maxPooledArenaBytes)
+		}
+	}
 }
 
 // TestReleaseKeepsModestArenas guards the other direction: ordinary

@@ -62,6 +62,13 @@ type SubmitRequest struct {
 // configuration and deadline a worker will run. It is exported (and
 // deterministic) so out-of-process clients — the e2e harness in
 // particular — can reproduce a server-side solve bit-for-bit.
+//
+// Every job runs on one search worker (Config.Workers = 1). The
+// scheduler already runs jobs side by side (GOMAXPROCS of them by
+// default), so sharding each job GOMAXPROCS-wide as well would only add
+// routing; and a witness depends on the worker count, so a
+// host-dependent width would make a job's bytes depend on the host's
+// core count.
 func (req *SubmitRequest) Build() (*pebble.Instance, opt.Config, time.Duration, error) {
 	var cfg opt.Config
 	g, err := req.graph()
@@ -86,6 +93,7 @@ func (req *SubmitRequest) Build() (*pebble.Instance, opt.Config, time.Duration, 
 	}
 
 	cfg = opt.DefaultConfig(req.MaxStates)
+	cfg.Workers = 1
 	if req.Heuristic != "" {
 		h, ok := opt.ParseHeuristicMode(req.Heuristic)
 		if !ok {

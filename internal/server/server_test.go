@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +181,42 @@ func TestWitnessResultCarriesStrategy(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("witness result differs from local solve")
+	}
+}
+
+// TestWitnessJobIsHostIndependent: a witness job returns the bytes of
+// a local one-worker solve whatever the host's core count. The witness
+// strategy depends on the worker count, and chains:3,2 at k=1, g=2
+// reconstructs a different one at two workers than at one, so a job
+// sharded GOMAXPROCS-wide would fail here under GOMAXPROCS 2.
+func TestWitnessJobIsHostIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ts := startServer(t, Options{Workers: 1})
+	req := SubmitRequest{DAG: "chains:3,2", K: 1, G: 2, Witness: true}
+	v, code := submit(t, ts, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	waitTerminal(t, ts, v.ID)
+	got, code := fetchResult(t, ts, v.ID)
+	if code != http.StatusOK {
+		t.Fatalf("result: HTTP %d", code)
+	}
+	in, cfg, _, err := req.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 1 // the reference is a one-worker solve whatever Build says
+	res, err := opt.ExactWith(context.Background(), in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("witness job differs from the local one-worker solve:\nserver: %s\nlocal:  %s", got, want)
 	}
 }
 
