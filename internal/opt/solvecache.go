@@ -122,26 +122,27 @@ func cloneResult(r *Result) *Result {
 }
 
 // resultBytes estimates a Result's retained heap bytes for the cache's
-// byte bound: the struct itself plus the witness strategy's moves and
-// action slices. An estimate is all the bound needs.
+// byte bound: the struct itself plus the witness strategy's columns. An
+// estimate is all the bound needs.
 func resultBytes(r *Result) int64 {
 	const (
-		baseBytes   = 96 // Result struct
-		moveBytes   = 32 // Move header (kind + actions slice header)
-		actionBytes = 16 // Action (proc + node, padded)
+		baseBytes     = 96 // Result struct
+		strategyBytes = 72 // Strategy: three slice headers
+		moveBytes     = 5  // kind + end of its actions
+		actionBytes   = 8  // Action (proc + node)
 	)
 	b := int64(baseBytes)
-	if r.Strategy != nil {
-		b += 24 + moveBytes*int64(len(r.Strategy.Moves))
-		for _, m := range r.Strategy.Moves {
-			b += actionBytes * int64(len(m.Actions))
+	if st := r.Strategy; st != nil {
+		b += strategyBytes
+		for i := range st.Len() {
+			b += moveBytes + actionBytes*int64(len(st.Move(i).Actions))
 		}
 	}
 	return b
 }
 
 // resultCodec serializes *Result blobs for the file-backed store via
-// encoding/gob (every field, Strategy included, is exported).
+// encoding/gob (a witness Strategy encodes itself in its JSON wire form).
 type resultCodec struct{}
 
 func (resultCodec) Encode(v any) ([]byte, error) {

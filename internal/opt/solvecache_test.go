@@ -163,10 +163,11 @@ func TestSolveCachedCloneIsolation(t *testing.T) {
 	want := cloneResult(first)
 
 	first.LowerBound = -999
-	if first.Strategy == nil || len(first.Strategy.Moves) == 0 {
+	if first.Strategy == nil || first.Strategy.Len() == 0 {
 		t.Fatal("witness solve returned no strategy")
 	}
-	first.Strategy.Moves[0] = pebble.Move{}
+	first.Strategy.Move(0).Actions[0] = pebble.Action{Proc: 7, Node: 7}
+	first.Strategy.Append(pebble.Delete(pebble.Blue(0)))
 
 	second, err := SolveCached(ctx, in, cfg, sc)
 	if err != nil {

@@ -31,7 +31,8 @@ func AsyncMakespan(in *Instance, s *Strategy) int64 {
 	var makespan int64
 	gCost, cCost := int64(in.G), int64(in.ComputeCost)
 
-	for _, m := range s.Moves {
+	for i := range s.Len() {
+		m := s.Move(i)
 		switch m.Kind {
 		case OpWrite:
 			for _, a := range m.Actions {

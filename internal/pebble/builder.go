@@ -2,6 +2,7 @@ package pebble
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dag"
 )
@@ -36,12 +37,12 @@ func NewBuilder(in *Instance) *Builder {
 // Config returns the current configuration (live; do not modify).
 func (b *Builder) Config() *Config { return b.cfg }
 
-// Strategy returns the accumulated strategy.
-func (b *Builder) Strategy() *Strategy { return &Strategy{Moves: b.s.Moves} }
-
-// Raw appends a move without tracking; use only for moves whose effect is
-// re-established by later tracked moves. Most callers should not need it.
-func (b *Builder) Raw(m Move) { b.s.Append(m) }
+// Strategy returns the accumulated strategy. It shares the Builder's
+// storage, capped at its current length, so a later append to either
+// copies instead of overwriting the other.
+func (b *Builder) Strategy() *Strategy {
+	return &Strategy{kinds: slices.Clip(b.s.kinds), ends: slices.Clip(b.s.ends), acts: slices.Clip(b.s.acts)}
+}
 
 // fail panics with the builder's diagnostic: a rule violation in a
 // proof-encoded strategy is a programmer error (see the type comment),
@@ -101,7 +102,7 @@ func (b *Builder) ComputeParallel(actions ...Action) {
 		}
 	}
 	for _, a := range actions {
-		b.addRed(a.Proc, a.Node)
+		b.addRed(int(a.Proc), a.Node)
 		if b.redCount[a.Proc] > b.in.R {
 			b.fail("parallel compute: p%d exceeds r=%d", a.Proc, b.in.R)
 		}
@@ -126,7 +127,7 @@ func (b *Builder) Read(actions ...Action) {
 		if !b.cfg.Blue.Contains(int(a.Node)) {
 			b.fail("read v%d: no blue pebble", a.Node)
 		}
-		b.addRed(a.Proc, a.Node)
+		b.addRed(int(a.Proc), a.Node)
 		if b.redCount[a.Proc] > b.in.R {
 			b.fail("read v%d: p%d exceeds r=%d", a.Node, a.Proc, b.in.R)
 		}
@@ -144,7 +145,7 @@ func (b *Builder) Delete(actions ...Action) {
 			b.cfg.Blue.Remove(int(a.Node))
 			continue
 		}
-		if !b.removeRed(a.Proc, a.Node) {
+		if !b.removeRed(int(a.Proc), a.Node) {
 			b.fail("delete v%d: not red on p%d", a.Node, a.Proc)
 		}
 	}
@@ -179,7 +180,7 @@ func (b *Builder) DropAllRed(p int, keep ...dag.NodeID) {
 		return true
 	})
 	for _, a := range acts {
-		b.removeRed(a.Proc, a.Node)
+		b.removeRed(p, a.Node)
 	}
 	if len(acts) > 0 {
 		b.s.Append(Delete(acts...))

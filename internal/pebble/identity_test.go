@@ -38,30 +38,24 @@ func TestParamsAppendWords(t *testing.T) {
 	}
 }
 
-// TestStrategyClone: a deep copy — mutating the clone's moves or actions
-// never reaches the original, and nil clones to nil.
+// TestStrategyClone: a deep copy — changing the clone's actions or
+// appending to it never reaches the original, and nil clones to nil.
 func TestStrategyClone(t *testing.T) {
 	var nilStrat *Strategy
 	if nilStrat.Clone() != nil {
 		t.Error("nil.Clone() != nil")
 	}
 
-	orig := &Strategy{Moves: []Move{
-		{Kind: OpCompute, Actions: []Action{{Proc: 0, Node: 1}, {Proc: 1, Node: 2}}},
-		{Kind: OpWrite, Actions: []Action{{Proc: 0, Node: 1}}},
-	}}
-	snapshot := &Strategy{Moves: []Move{
-		{Kind: OpCompute, Actions: []Action{{Proc: 0, Node: 1}, {Proc: 1, Node: 2}}},
-		{Kind: OpWrite, Actions: []Action{{Proc: 0, Node: 1}}},
-	}}
+	orig := strategyOf(Compute(At(0, 1), At(1, 2)), Write(At(0, 1)))
+	snapshot := strategyOf(Compute(At(0, 1), At(1, 2)), Write(At(0, 1)))
 
 	c := orig.Clone()
 	if !reflect.DeepEqual(c, orig) {
 		t.Fatalf("Clone = %+v, want %+v", c, orig)
 	}
-	c.Moves[0].Kind = OpRead
-	c.Moves[0].Actions[0].Node = 99
+	c.Move(0).Actions[0].Node = 99 // callers must not; this shows no sharing
+	c.Append(Read(At(1, 1)))
 	if !reflect.DeepEqual(orig, snapshot) {
-		t.Errorf("mutating the clone reached the original:\n got:  %+v\n want: %+v", orig, snapshot)
+		t.Errorf("changing the clone reached the original:\n got:  %+v\n want: %+v", orig, snapshot)
 	}
 }

@@ -2,6 +2,7 @@ package pebble
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dag"
@@ -43,9 +44,10 @@ const BlueProc = -1
 
 // Action is one processor's part of a Move: processor Proc operates on
 // node Node. In a Delete move, Proc == BlueProc removes the blue pebble on
-// Node instead of a red one.
+// Node instead of a red one. An Action is 8 bytes; NewInstance bounds k
+// by math.MaxInt32, so every processor index fits in Proc.
 type Action struct {
-	Proc int
+	Proc int32
 	Node dag.NodeID
 }
 
@@ -74,7 +76,7 @@ func Compute(actions ...Action) Move { return Move{Kind: OpCompute, Actions: act
 func Delete(actions ...Action) Move { return Move{Kind: OpDelete, Actions: actions} }
 
 // At is shorthand for Action{Proc: p, Node: v}.
-func At(p int, v dag.NodeID) Action { return Action{Proc: p, Node: v} }
+func At(p int, v dag.NodeID) Action { return Action{Proc: int32(p), Node: v} }
 
 // Blue is shorthand for a delete-blue action on v.
 func Blue(v dag.NodeID) Action { return Action{Proc: BlueProc, Node: v} }
@@ -112,69 +114,73 @@ func (m Move) String() string {
 
 // Strategy is a pebbling strategy: the sequence of moves applied to the
 // initial (empty) configuration.
+//
+// It is stored as three pointer-free columns: kinds[i] is move i's rule,
+// and move i's actions are acts[ends[i-1]:ends[i]], with ends[-1] taken
+// as 0. A move thus costs 5 bytes plus 8 per action, in memory the
+// garbage collector never scans, and a strategy is three backing arrays
+// however many moves it holds. It holds at most math.MaxInt32 actions.
+//
+// Append copies the actions it is given, so a caller may reuse its action
+// slices as scratch. Move(i) returns a view: its Actions alias the
+// strategy and are read-only. Their capacity equals their length, so an
+// append to them copies instead of overwriting move i+1.
 type Strategy struct {
-	Moves []Move
+	kinds []OpKind
+	ends  []int32
+	acts  []Action
 }
 
-// Append adds moves to the strategy.
-func (s *Strategy) Append(moves ...Move) { s.Moves = append(s.Moves, moves...) }
+// Append adds moves to the strategy, copying their actions.
+func (s *Strategy) Append(moves ...Move) {
+	for _, m := range moves {
+		s.kinds = append(s.kinds, m.Kind)
+		s.acts = append(s.acts, m.Actions...)
+		s.ends = append(s.ends, int32(len(s.acts)))
+	}
+}
 
 // Len returns the number of moves.
-func (s *Strategy) Len() int { return len(s.Moves) }
+func (s *Strategy) Len() int { return len(s.kinds) }
 
-// Clone returns a deep copy of the strategy: mutating the copy's moves
-// or action slices cannot affect s (and vice versa). A nil strategy
-// clones to nil. The solve cache serves clones so a cached witness is
-// never aliased by two callers.
+// Move returns move i, whose Actions alias the strategy (see the type
+// comment): read them, do not write them.
+func (s *Strategy) Move(i int) Move {
+	var start int32
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	end := s.ends[i]
+	return Move{Kind: s.kinds[i], Actions: s.acts[start:end:end]}
+}
+
+// Clone returns a deep copy of the strategy: appending to the copy cannot
+// affect s (and vice versa). A nil strategy clones to nil. The solve
+// cache serves clones so a cached witness is never aliased by two
+// callers.
 func (s *Strategy) Clone() *Strategy {
 	if s == nil {
 		return nil
 	}
-	out := &Strategy{Moves: make([]Move, len(s.Moves))}
-	for i, m := range s.Moves {
-		cm := Move{Kind: m.Kind}
-		if len(m.Actions) > 0 {
-			cm.Actions = append([]Action(nil), m.Actions...)
-		}
-		out.Moves[i] = cm
-	}
-	return out
-}
-
-// Concat returns a new strategy running s then t.
-func (s *Strategy) Concat(t *Strategy) *Strategy {
-	out := &Strategy{Moves: make([]Move, 0, len(s.Moves)+len(t.Moves))}
-	out.Moves = append(out.Moves, s.Moves...)
-	out.Moves = append(out.Moves, t.Moves...)
-	return out
-}
-
-// Cost returns the total cost of the strategy under parameters p without
-// validating it (see Replay for validated cost).
-func (s *Strategy) Cost(p Params) int64 {
-	var c int64
-	for _, m := range s.Moves {
-		c += m.Cost(p)
-	}
-	return c
+	return &Strategy{kinds: slices.Clone(s.kinds), ends: slices.Clone(s.ends), acts: slices.Clone(s.acts)}
 }
 
 // String renders up to 40 moves, eliding the middle of long strategies.
 func (s *Strategy) String() string {
 	const limit = 40
 	var b strings.Builder
-	fmt.Fprintf(&b, "strategy(%d moves)", len(s.Moves))
-	n := len(s.Moves)
+	n := s.Len()
+	fmt.Fprintf(&b, "strategy(%d moves)", n)
 	if n == 0 {
 		return b.String()
 	}
 	b.WriteString(": ")
 	if n <= limit {
-		for i, m := range s.Moves {
+		for i := range n {
 			if i > 0 {
 				b.WriteString("; ")
 			}
-			b.WriteString(m.String())
+			b.WriteString(s.Move(i).String())
 		}
 		return b.String()
 	}
@@ -182,11 +188,11 @@ func (s *Strategy) String() string {
 		if i > 0 {
 			b.WriteString("; ")
 		}
-		b.WriteString(s.Moves[i].String())
+		b.WriteString(s.Move(i).String())
 	}
 	fmt.Fprintf(&b, "; … %d elided …; ", n-limit)
 	for i := n - limit/2; i < n; i++ {
-		b.WriteString(s.Moves[i].String())
+		b.WriteString(s.Move(i).String())
 		if i != n-1 {
 			b.WriteString("; ")
 		}

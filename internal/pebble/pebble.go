@@ -25,6 +25,7 @@ package pebble
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dag"
 )
@@ -81,13 +82,17 @@ type Instance struct {
 
 // NewInstance validates the parameters against the DAG and returns the
 // instance. It enforces r ≥ Δ_in + 1, the necessary and sufficient
-// condition for a valid pebbling to exist (Section 4).
+// condition for a valid pebbling to exist (Section 4), and k ≤
+// math.MaxInt32, so that every processor index fits in Action.Proc.
 func NewInstance(g *dag.Graph, p Params) (*Instance, error) {
 	if g == nil {
 		return nil, fmt.Errorf("pebble: nil graph")
 	}
 	if p.K < 1 {
 		return nil, fmt.Errorf("pebble: k = %d, want ≥ 1", p.K)
+	}
+	if p.K > math.MaxInt32 {
+		return nil, fmt.Errorf("pebble: k = %d, want ≤ %d", p.K, math.MaxInt32)
 	}
 	if p.R < 1 {
 		return nil, fmt.Errorf("pebble: r = %d, want ≥ 1", p.R)

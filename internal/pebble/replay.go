@@ -109,7 +109,8 @@ func replay(in *Instance, s *Strategy) (*Report, *Config, error) {
 	// validation quadratic on million-move strategies.
 	redCount := make([]int, k)
 	procSeen := make([]int, k) // move index +1 when last used; enforces injective selections
-	for i, m := range s.Moves {
+	for i := range s.Len() {
+		m := s.Move(i)
 		if len(m.Actions) == 0 {
 			return nil, nil, &RuleError{MoveIndex: i, ActionIndex: -1, Move: m, Reason: "empty move"}
 		}
@@ -119,7 +120,7 @@ func replay(in *Instance, s *Strategy) (*Report, *Config, error) {
 					Reason: fmt.Sprintf("%d actions exceed k=%d processors", len(m.Actions), k)}
 			}
 			for ai, a := range m.Actions {
-				if a.Proc < 0 || a.Proc >= k {
+				if a.Proc < 0 || int(a.Proc) >= k {
 					return nil, nil, &RuleError{MoveIndex: i, ActionIndex: ai, Move: m,
 						Reason: fmt.Sprintf("processor %d out of range [0,%d)", a.Proc, k)}
 				}
@@ -210,7 +211,7 @@ func replay(in *Instance, s *Strategy) (*Report, *Config, error) {
 							Reason: fmt.Sprintf("node %d has no blue pebble to delete", a.Node)}
 					}
 					cfg.Blue.Remove(int(a.Node))
-				case a.Proc >= 0 && a.Proc < k:
+				case a.Proc >= 0 && int(a.Proc) < k:
 					if !cfg.Red[a.Proc].Contains(int(a.Node)) {
 						return nil, nil, &RuleError{MoveIndex: i, ActionIndex: ai, Move: m,
 							Reason: fmt.Sprintf("node %d has no shade-%d red pebble to delete", a.Node, a.Proc)}
@@ -262,7 +263,8 @@ func Sequentialize(in *Instance, s *Strategy) *Strategy {
 	n := in.Graph.N()
 	mult := make([]int, n)
 	out := &Strategy{}
-	for _, m := range s.Moves {
+	for i := range s.Len() {
+		m := s.Move(i)
 		switch m.Kind {
 		case OpWrite:
 			for _, a := range m.Actions {

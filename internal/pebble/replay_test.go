@@ -2,10 +2,13 @@ package pebble
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/gen"
 )
 
 // fig1 builds the example DAG of Figure 1:
@@ -216,6 +219,22 @@ func TestParamValidation(t *testing.T) {
 	}
 }
 
+// TestNewInstanceRejectsKBeyondInt32: Action.Proc is an int32, so k must
+// fit in one.
+func TestNewInstanceRejectsKBeyondInt32(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("int is 32 bits: no k exceeds math.MaxInt32")
+	}
+	g := gen.Chain(2)
+	if _, err := NewInstance(g, MPP(math.MaxInt32, 2, 1)); err != nil {
+		t.Fatalf("k = MaxInt32 rejected: %v", err)
+	}
+	k := int64(math.MaxInt32) + 1
+	if _, err := NewInstance(g, MPP(int(k), 2, 1)); err == nil {
+		t.Fatalf("k = %d accepted", k)
+	}
+}
+
 func TestReplayRejections(t *testing.T) {
 	in := chainInstance(t, 3, MPP(2, 2, 1))
 	cases := []struct {
@@ -239,7 +258,7 @@ func TestReplayRejections(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Replay(in, &Strategy{Moves: c.moves})
+			_, err := Replay(in, strategyOf(c.moves...))
 			if err == nil {
 				t.Fatal("accepted")
 			}
@@ -256,12 +275,12 @@ func TestReplayRejections(t *testing.T) {
 
 func TestReplayNotTerminal(t *testing.T) {
 	in := chainInstance(t, 2, MPP(1, 2, 1))
-	_, err := Replay(in, &Strategy{Moves: []Move{Compute(At(0, 0))}})
+	_, err := Replay(in, strategyOf(Compute(At(0, 0))))
 	if !errors.Is(err, ErrNotTerminal) {
 		t.Fatalf("err = %v, want ErrNotTerminal", err)
 	}
 	// ReplayPartial accepts the same prefix.
-	rep, cfg, err := ReplayPartial(in, &Strategy{Moves: []Move{Compute(At(0, 0))}})
+	rep, cfg, err := ReplayPartial(in, strategyOf(Compute(At(0, 0))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +291,7 @@ func TestReplayNotTerminal(t *testing.T) {
 
 func TestOneShotRejectsRecompute(t *testing.T) {
 	in := chainInstance(t, 2, OneShotSPP(2, 1))
-	s := &Strategy{Moves: []Move{
-		Compute(At(0, 0)), Compute(At(0, 1)), Delete(At(0, 0)), Compute(At(0, 0)),
-	}}
+	s := strategyOf(Compute(At(0, 0)), Compute(At(0, 1)), Delete(At(0, 0)), Compute(At(0, 0)))
 	if _, err := Replay(in, s); err == nil || !strings.Contains(err.Error(), "one-shot") {
 		t.Fatalf("one-shot recompute not rejected: %v", err)
 	}
@@ -334,19 +351,18 @@ func TestStrategyCostMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cost(in.Params) != rep.Cost {
-		t.Fatalf("Strategy.Cost = %d, Replay cost = %d", s.Cost(in.Params), rep.Cost)
+	var cost int64
+	for i := range s.Len() {
+		cost += s.Move(i).Cost(in.Params)
+	}
+	if cost != rep.Cost {
+		t.Fatalf("summed Move.Cost = %d, Replay cost = %d", cost, rep.Cost)
 	}
 }
 
-func TestConcatAndString(t *testing.T) {
-	a := &Strategy{Moves: []Move{Compute(At(0, 0))}}
-	b := &Strategy{Moves: []Move{Write(At(0, 0))}}
-	c := a.Concat(b)
-	if c.Len() != 2 {
-		t.Fatal("Concat length")
-	}
-	if !strings.Contains(c.String(), "compute[p0:v0]") {
+func TestStrategyString(t *testing.T) {
+	c := strategyOf(Compute(At(0, 0)), Write(At(0, 0)))
+	if c.String() != "strategy(2 moves): compute[p0:v0]; write[p0:v0]" {
 		t.Errorf("String = %q", c.String())
 	}
 	long := &Strategy{}

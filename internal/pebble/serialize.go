@@ -2,11 +2,10 @@ package pebble
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/dag"
 )
 
 // jsonMove is the wire form of a Move: a one-letter kind plus [proc,node]
@@ -33,13 +32,15 @@ var letterKind = map[string]OpKind{
 // WriteJSON streams the strategy as one JSON array of moves.
 func (s *Strategy) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	moves := make([]jsonMove, len(s.Moves))
-	for i, m := range s.Moves {
-		jm := jsonMove{K: kindLetter[m.Kind], A: make([][2]int32, len(m.Actions))}
-		for j, a := range m.Actions {
-			jm.A[j] = [2]int32{int32(a.Proc), int32(a.Node)}
-		}
-		moves[i] = jm
+	pairs := make([][2]int32, len(s.acts))
+	for i, a := range s.acts {
+		pairs[i] = [2]int32{a.Proc, a.Node}
+	}
+	moves := make([]jsonMove, s.Len())
+	var start int32
+	for i, kind := range s.kinds {
+		moves[i] = jsonMove{K: kindLetter[kind], A: pairs[start:s.ends[i]]}
+		start = s.ends[i]
 	}
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(moves); err != nil {
@@ -57,16 +58,38 @@ func ReadJSON(r io.Reader) (*Strategy, error) {
 		return nil, fmt.Errorf("pebble: decoding strategy: %w", err)
 	}
 	s := &Strategy{}
+	var m Move
 	for i, jm := range moves {
 		kind, ok := letterKind[jm.K]
 		if !ok {
 			return nil, fmt.Errorf("pebble: move %d has unknown kind %q", i, jm.K)
 		}
-		m := Move{Kind: kind, Actions: make([]Action, len(jm.A))}
-		for j, a := range jm.A {
-			m.Actions[j] = Action{Proc: int(a[0]), Node: dag.NodeID(a[1])}
+		m.Kind, m.Actions = kind, m.Actions[:0]
+		for _, a := range jm.A {
+			m.Actions = append(m.Actions, Action{Proc: a[0], Node: a[1]})
 		}
 		s.Append(m)
 	}
 	return s, nil
+}
+
+// GobEncode encodes the strategy in its WriteJSON wire form, so a gob
+// stream (the solve cache's file store) holds the one strategy format
+// the repository has.
+func (s *Strategy) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// GobDecode decodes a strategy written by GobEncode.
+func (s *Strategy) GobDecode(data []byte) error {
+	t, err := ReadJSON(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	*s = *t
+	return nil
 }

@@ -323,7 +323,7 @@ func MultiCyclicStarved(in *pebble.Instance, ids *gen.MultiCyclicIDs, delta, str
 		if idx >= rho {
 			b.Write(acts...)
 			for _, a := range acts {
-				b.DropRed(a.Proc, a.Node)
+				b.DropRed(int(a.Proc), a.Node)
 			}
 		}
 	}

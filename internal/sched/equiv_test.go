@@ -45,13 +45,13 @@ func assertSame(t *testing.T, got *pebble.Strategy, gotErr error, want *pebble.S
 	if gotErr != nil {
 		return
 	}
-	if !reflect.DeepEqual(got.Moves, want.Moves) {
-		if len(got.Moves) != len(want.Moves) {
-			t.Fatalf("move count mismatch: engine=%d oracle=%d", len(got.Moves), len(want.Moves))
+	if !reflect.DeepEqual(got, want) {
+		if got.Len() != want.Len() {
+			t.Fatalf("move count mismatch: engine=%d oracle=%d", got.Len(), want.Len())
 		}
-		for i := range got.Moves {
-			if !reflect.DeepEqual(got.Moves[i], want.Moves[i]) {
-				t.Fatalf("first divergence at move %d: engine=%+v oracle=%+v", i, got.Moves[i], want.Moves[i])
+		for i := range got.Len() {
+			if !reflect.DeepEqual(got.Move(i), want.Move(i)) {
+				t.Fatalf("first divergence at move %d: engine=%+v oracle=%+v", i, got.Move(i), want.Move(i))
 			}
 		}
 		t.Fatalf("strategies differ")

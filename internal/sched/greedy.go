@@ -565,6 +565,7 @@ func (e *greedyEngine) markComputed(v dag.NodeID) {
 }
 
 func (e *greedyEngine) run() (*pebble.Strategy, error) {
+	acts := make([]pebble.Action, 0, e.k) // the compute move's scratch; the Builder copies it
 	for e.left > 0 {
 		e.clock++
 		if len(e.ready) == 0 {
@@ -597,10 +598,8 @@ func (e *greedyEngine) run() (*pebble.Strategy, error) {
 				return nil, err
 			}
 		}
-		// Compute phase: one parallel move for all claimed nodes. The
-		// action slice must be freshly allocated — the Builder stores it
-		// in the emitted move.
-		acts := make([]pebble.Action, 0, live)
+		// Compute phase: one parallel move for all claimed nodes.
+		acts = acts[:0]
 		for p := 0; p < e.k; p++ {
 			if e.targets[p] >= 0 {
 				acts = append(acts, pebble.At(p, e.targets[p]))
@@ -608,7 +607,7 @@ func (e *greedyEngine) run() (*pebble.Strategy, error) {
 		}
 		e.b.ComputeParallel(acts...)
 		for _, a := range acts {
-			e.residentAdd(a.Proc, a.Node)
+			e.residentAdd(int(a.Proc), a.Node)
 			e.markComputed(a.Node)
 		}
 	}

@@ -55,8 +55,10 @@ func elideNoOps(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 	n, k := in.Graph.N(), in.K
 	cfg := pebble.NewConfig(n, k)
 	out := &pebble.Strategy{}
-	for _, m := range s.Moves {
-		var kept []pebble.Action
+	var kept []pebble.Action
+	for i := range s.Len() {
+		m := s.Move(i)
+		kept = kept[:0]
 		for _, a := range m.Actions {
 			switch m.Kind {
 			case pebble.OpRead, pebble.OpCompute:
@@ -92,8 +94,8 @@ func elideNoOps(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 func elideDeadWrites(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 	n := in.Graph.N()
 	blueDeleted := bitset.New(n)
-	for _, m := range s.Moves {
-		if m.Kind == pebble.OpDelete {
+	for i := range s.Len() {
+		if m := s.Move(i); m.Kind == pebble.OpDelete {
 			for _, a := range m.Actions {
 				if a.Proc == pebble.BlueProc {
 					blueDeleted.Add(int(a.Node))
@@ -106,8 +108,8 @@ func elideDeadWrites(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 	for i := range lastRead {
 		lastRead[i] = -1
 	}
-	for i, m := range s.Moves {
-		if m.Kind == pebble.OpRead {
+	for i := range s.Len() {
+		if m := s.Move(i); m.Kind == pebble.OpRead {
 			for _, a := range m.Actions {
 				lastRead[a.Node] = i
 			}
@@ -120,12 +122,14 @@ func elideDeadWrites(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 		isSink.Add(int(v))
 	}
 	out := &pebble.Strategy{}
-	for i, m := range s.Moves {
+	var kept []pebble.Action
+	for i := range s.Len() {
+		m := s.Move(i)
 		if m.Kind != pebble.OpWrite {
 			out.Append(m)
 			continue
 		}
-		var kept []pebble.Action
+		kept = kept[:0]
 		for _, a := range m.Actions {
 			v := int(a.Node)
 			needed := lastRead[v] > i || blueDeleted.Contains(v) ||
@@ -149,8 +153,8 @@ func endRedSet(in *pebble.Instance, s *pebble.Strategy) *bitset.Set {
 	for j := range red {
 		red[j] = bitset.New(n)
 	}
-	for _, m := range s.Moves {
-		switch m.Kind {
+	for i := range s.Len() {
+		switch m := s.Move(i); m.Kind {
 		case pebble.OpRead, pebble.OpCompute:
 			for _, a := range m.Actions {
 				red[a.Proc].Add(int(a.Node))
@@ -183,10 +187,12 @@ func endRedSet(in *pebble.Instance, s *pebble.Strategy) *bitset.Set {
 //     pebble still respects r (reads/computes add a pebble that now
 //     lives through the window).
 func packParallel(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
-	out := &pebble.Strategy{}
+	// The output moves stay a slice until the end, so a merge can still
+	// extend an earlier move's actions.
+	var out []pebble.Move
 	red := make([]int, in.K) // current red counts per processor
 
-	lastCosted := -1 // index in out.Moves of the last costed move
+	lastCosted := -1 // index in out of the last costed move
 	// Window trackers since the last costed move (only deletes occur in
 	// the window):
 	deletedSince := make([]int, in.K)    // red deletions per proc
@@ -214,7 +220,8 @@ func packParallel(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 		}
 	}
 
-	for _, m := range s.Moves {
+	for i := range s.Len() {
+		m := s.Move(i)
 		if m.Kind == pebble.OpDelete {
 			for _, a := range m.Actions {
 				if a.Proc == pebble.BlueProc {
@@ -225,14 +232,14 @@ func packParallel(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 				}
 			}
 			applyCounts(m)
-			out.Append(m)
+			out = append(out, m)
 			continue
 		}
 		merged := false
-		if lastCosted >= 0 && out.Moves[lastCosted].Kind == m.Kind {
-			target := &out.Moves[lastCosted]
+		if lastCosted >= 0 && out[lastCosted].Kind == m.Kind {
+			target := &out[lastCosted]
 			ok := len(target.Actions)+len(m.Actions) <= in.K
-			procs := map[int]bool{}
+			procs := map[int32]bool{}
 			nodes := map[dag.NodeID]bool{}
 			for _, a := range target.Actions {
 				procs[a.Proc] = true
@@ -284,6 +291,8 @@ func packParallel(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 				}
 			}
 			if ok {
+				// target.Actions may alias s: its capacity ends at its
+				// length, so this append copies.
 				target.Actions = append(target.Actions, m.Actions...)
 				applyCounts(m)
 				merged = true
@@ -291,10 +300,12 @@ func packParallel(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 		}
 		if !merged {
 			applyCounts(m)
-			out.Append(m)
-			lastCosted = out.Len() - 1
+			out = append(out, m)
+			lastCosted = len(out) - 1
 			resetWindow()
 		}
 	}
-	return out
+	st := &pebble.Strategy{}
+	st.Append(out...)
+	return st
 }

@@ -377,9 +377,11 @@ func (e *partEngine) run() (*pebble.Strategy, error) {
 	// Phase B: deterministic round merge.
 	n := e.in.Graph.N()
 	blue := e.b.Config().Blue
+	// Per-round scratch: the Builder copies the actions it is given.
+	var writes, reads, computes []pebble.Action
+	var writeSpill []bool
 	for e.computedCount < n {
-		var writes, reads, computes []pebble.Action
-		var writeSpill []bool
+		writes, reads, computes, writeSpill = writes[:0], reads[:0], computes[:0], writeSpill[:0]
 		progress := false
 		for p := 0; p < e.k; p++ {
 			st := &e.streams[p]

@@ -35,7 +35,8 @@ func repack(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 	var acts []action
 	perProc := make([][]int, k) // indices into acts, in program order
 	lastWrite := map[dag.NodeID]int{}
-	for _, m := range s.Moves {
+	for i := range s.Len() {
+		m := s.Move(i)
 		for _, act := range m.Actions {
 			if m.Kind == pebble.OpDelete && act.Proc == pebble.BlueProc {
 				return s // blue deletions: bail out, keep the original
@@ -119,7 +120,7 @@ func repack(in *pebble.Instance, s *pebble.Strategy) *pebble.Strategy {
 				idxs = append(idxs, idx)
 			}
 			for bi, idx := range idxs {
-				complete(idx, batch[bi].Proc)
+				complete(idx, int(batch[bi].Proc))
 			}
 			if len(batch) > 0 {
 				out.Append(pebble.Move{Kind: kind, Actions: batch})

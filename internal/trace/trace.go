@@ -33,12 +33,12 @@ func PerProcessor(w io.Writer, rep *pebble.Report) {
 // Timeline writes the move sequence, one move per line, up to limit moves
 // (0 means all). Intended for small gadget strategies.
 func Timeline(w io.Writer, s *pebble.Strategy, limit int) {
-	n := len(s.Moves)
+	n := s.Len()
 	if limit <= 0 || limit > n {
 		limit = n
 	}
 	for i := 0; i < limit; i++ {
-		fmt.Fprintf(w, "%5d  %s\n", i, s.Moves[i])
+		fmt.Fprintf(w, "%5d  %s\n", i, s.Move(i))
 	}
 	if limit < n {
 		fmt.Fprintf(w, "…      (%d more moves)\n", n-limit)
@@ -51,7 +51,8 @@ func Timeline(w io.Writer, s *pebble.Strategy, limit int) {
 func Gantt(s *pebble.Strategy, k, width int) string {
 	lines := make([]strings.Builder, k)
 	steps := 0
-	for _, m := range s.Moves {
+	for i := range s.Len() {
+		m := s.Move(i)
 		if m.Kind == pebble.OpDelete {
 			continue
 		}
@@ -70,8 +71,8 @@ func Gantt(s *pebble.Strategy, k, width int) string {
 			ch = 'R'
 		}
 		for _, a := range m.Actions {
-			if a.Proc >= 0 && a.Proc < k {
-				active[a.Proc] = ch
+			if p := int(a.Proc); p >= 0 && p < k {
+				active[p] = ch
 			}
 		}
 		for p := 0; p < k; p++ {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: formatting, vet, lint, build, the full test
 # suite (including the golden states-expanded table in internal/opt),
-# the race suites, the scheduler scale and allocation smoke and the
-# server end-to-end smoke. Run before every commit; CI runs exactly this.
+# a short fuzz of the strategy reader, the race suites, the scheduler
+# scale and allocation smoke and the server end-to-end smoke. Run
+# before every commit; CI runs exactly this.
 # Timing lives in the repository benchmark, bench/run.sh.
 #
 #   scripts/verify.sh           # full suite (~2 min; hardness q=4 dominates)
@@ -34,6 +35,13 @@ go build ./...
 
 echo "== go test =="
 go test ${SHORT:+-short} ./...
+
+echo "== fuzz: strategy JSON reader =="
+# ReadJSON parses strategy files from outside the program (mppsched
+# -load). go test above replays the seed corpus; this adds a short
+# coverage-guided search for inputs that break its decode/re-encode
+# fixed point or make Replay panic.
+go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/pebble/
 
 echo "== bench module =="
 # bench/ is its own Go module (repro/bench, replace repro => ../), so the
