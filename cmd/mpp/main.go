@@ -127,7 +127,6 @@ func (c client) submit(args []string) {
 	heuristic := fs.String("heuristic", "", `heuristic stack: "floor", "io" or "max" (default max)`)
 	dominance := fs.Bool("dominance", true, "dominance pruning")
 	witness := fs.Bool("witness", false, "reconstruct an optimal strategy in the result")
-	mode := fs.String("mode", "", `engine mode: "deterministic" or "async" (default deterministic)`)
 	timeoutMS := fs.Int64("timeout-ms", 0, "per-job wall-clock deadline in ms (0 = none); expiring yields a typed partial result")
 	doWait := fs.Bool("wait", false, "poll until the job is terminal and print the final status")
 	poll := fs.Duration("poll", 100*time.Millisecond, "poll interval for -wait")
@@ -144,7 +143,6 @@ func (c client) submit(args []string) {
 		Heuristic:   *heuristic,
 		Dominance:   dominance,
 		Witness:     *witness,
-		Mode:        *mode,
 		TimeoutMS:   *timeoutMS,
 	}
 	if *dagJSON != "" {

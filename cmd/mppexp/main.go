@@ -3,22 +3,20 @@
 //
 // Usage:
 //
-//	mppexp [-quick] [-markdown] [-list] [-timeout d] [-max-states n] [-mode m] [-async] [-cache] [ids...]
+//	mppexp [-quick] [-markdown] [-list] [-timeout d] [-max-states n] [-mode m] [-cache] [ids...]
 //
 // With no ids, every experiment runs. -markdown emits the format used in
 // EXPERIMENTS.md. -timeout and -max-states bound each experiment; runs
 // that hit a bound report partial results (with the solver's incumbent
 // and bound gap where available) instead of failing. -mode selects the
-// exact engine by name ("deterministic" or "async"); -async is the
-// legacy spelling of -mode async, and combining it with an explicit
-// -mode deterministic is a contradiction rejected with exit 2 — as is an
-// unknown -mode value — rather than silently falling back to the
-// default. Async runs prove identical optima, but states-explored
-// counts become timing-dependent, so recorded tables may differ
-// cosmetically between runs. -cache memoizes every exact solve behind
-// its instance fingerprint for the run (experiments sharing instances
-// skip re-searching; -cache-dir persists results across runs) and
-// prints the hit/miss counters at exit.
+// exact engine mode by name ("deterministic", one shard, or "async",
+// sharded GOMAXPROCS-wide); an unknown -mode value is rejected with exit
+// 2 rather than silently falling back to the default. Async runs prove
+// identical optima, but states-explored counts become timing-dependent,
+// so recorded tables may differ cosmetically between runs. -cache
+// memoizes every exact solve behind its instance fingerprint for the run
+// (experiments sharing instances skip re-searching; -cache-dir persists
+// results across runs) and prints the hit/miss counters at exit.
 package main
 
 import (
@@ -52,23 +50,19 @@ func main() {
 	jobs := flag.Int("j", 1, "run experiments concurrently on up to this many workers (output stays in ID order)")
 	timeout := flag.Duration("timeout", 0, "per-experiment wall-clock deadline (0 = none); expired experiments report partial results")
 	maxStates := flag.Int("max-states", 0, "cap each exact-solver call's explored states (0 = experiment defaults)")
-	async := flag.Bool("async", false, `run exact solves in asynchronous fast mode (same optima, nondeterministic statistics); shorthand for -mode async`)
 	modeFlag := flag.String("mode", "", `exact engine mode: "deterministic" or "async" (default deterministic)`)
 	useCache := flag.Bool("cache", false, "memoize exact solves behind instance fingerprints for this run; prints hit/miss counters at exit")
 	cacheDir := flag.String("cache-dir", "", "file-backed solve-cache directory (implies -cache); results persist across runs")
 	flag.Parse()
 
-	// Resolve the engine mode before anything else runs: a typo or a
-	// contradictory combination must fail loudly (exit 2, the accepted
-	// values named), never silently run the deterministic default.
-	runAsync := *async
+	// Resolve the engine mode before anything else runs: a typo must
+	// fail loudly (exit 2, the accepted values named), never silently
+	// run the deterministic default.
+	runAsync := false
 	if *modeFlag != "" {
 		m, ok := opt.ParseMode(*modeFlag)
 		if !ok {
 			usageErr(`unknown -mode %q (accepted values: "deterministic", "async")`, *modeFlag)
-		}
-		if *async && m == opt.ModeDeterministic {
-			usageErr(`contradictory flags: -async with -mode deterministic (drop one; -async means -mode async)`)
 		}
 		runAsync = m == opt.ModeAsync
 	}

@@ -46,20 +46,17 @@ func runExpect(t *testing.T, bin string, wantCode int, wantStderr string, args .
 	}
 }
 
-// TestModeFlagValidation: an unknown -mode and the contradictory
-// -async -mode deterministic combination must fail with the usage exit
-// code 2 and name the accepted values — never silently run the default
-// engine.
+// TestModeFlagValidation: an unknown -mode must fail with the usage
+// exit code 2 and name the accepted values — never silently run the
+// default engine.
 func TestModeFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping CLI build in -short mode")
 	}
 	bin := buildCLI(t)
 	runExpect(t, bin, 2, `"deterministic", "async"`, "-mode", "bogus", "-list")
-	runExpect(t, bin, 2, "contradictory", "-async", "-mode", "deterministic", "-list")
 	// The legal spellings still work (-list exits 0 without solving).
 	runExpect(t, bin, 0, "", "-mode", "async", "-list")
-	runExpect(t, bin, 0, "", "-async", "-mode", "async", "-list")
 }
 
 // TestCacheDirDiskErrorWarning: a -cache-dir that cannot be used (here a

@@ -19,9 +19,10 @@
 //     budget B must not be served to a caller whose budget B' < B would
 //     have stopped the search short of proving it).
 //   - Out: Workers and the engine Mode (optima are engine-invariant:
-//     every worker count and both engines prove the same optimum, and
-//     deterministic results are additionally byte-identical across
-//     worker counts), the DAG's name and labels (cosmetic), and
+//     every worker count and both modes prove the same optimum, and a
+//     deterministic solve runs on one shard whatever Workers says, so
+//     its results are byte-identical at every setting), the DAG's name
+//     and labels (cosmetic), and
 //     wall-clock deadlines (a deadline stop is not a function of the
 //     instance, so deadline/canceled results are never cached at all —
 //     that is how "deadline-partiality enters the key": as a key that is
@@ -42,10 +43,12 @@ import (
 	"repro/internal/pebble"
 )
 
-// keyVersion tags the canonical word layout. Bump it whenever the
-// encoding changes so stale file-store blobs miss cleanly instead of
-// decoding under the wrong semantics.
-const keyVersion = 1
+// keyVersion tags the canonical word layout and the semantics of the
+// results stored under it. Bump it whenever either changes so stale
+// file-store blobs miss cleanly instead of decoding under the wrong
+// semantics. Version 2: deterministic solves run on one shard, so
+// States, Pruned, brackets and witnesses differ from version 1's.
+const keyVersion = 2
 
 // Key domain tags, so a complete-result key and a partial-bracket key of
 // the same instance can never collide.

@@ -224,6 +224,21 @@ func TestPartialKeyDomain(t *testing.T) {
 	}
 }
 
+// TestKeyGolden pins KeyOf and PartialKeyOf for one fixed instance and
+// config. Every key depends on keyVersion, so the pins move exactly when
+// the encoding or the semantics of stored results change — a change that
+// must bump keyVersion so a file store's old blobs become plain misses.
+func TestKeyGolden(t *testing.T) {
+	in := pebble.MustInstance(gen.Grid2D(2, 3), pebble.MPP(2, 3, 2))
+	sc := SolverConfig{Heuristic: 2, Dominance: true, MaxStates: 1000}
+	if got, want := KeyOf(in, sc).String(), "de98d08b2efb886f4c3e9e002f89658e"; got != want {
+		t.Errorf("KeyOf = %s, want %s", got, want)
+	}
+	if got, want := PartialKeyOf(in, sc).String(), "12093f6ef73610953fcd2dad842939f6"; got != want {
+		t.Errorf("PartialKeyOf = %s, want %s", got, want)
+	}
+}
+
 // TestKeyString: 32 lowercase hex digits, zero-padded, usable as a file
 // name.
 func TestKeyString(t *testing.T) {

@@ -57,13 +57,17 @@ func E14HardClasses(ctx context.Context, cfg Config) (*Table, error) {
 		}
 		t.AddRow("2-layer", di(g.N()), "2", d64(res.Cost), di(res.States), d64(rep.Cost), f2(ratio(rep.Cost, res.Cost)))
 	}
-	trees := map[string]*dag.Graph{
-		"intree-d2":   gen.BinaryInTree(2),
-		"caterpillar": caterpillarInTree(8),
+	trees := []struct {
+		name string
+		g    *dag.Graph
+	}{
+		{"intree-d2", gen.BinaryInTree(2)},
+		{"caterpillar", caterpillarInTree(8)},
 	}
-	for name, g := range trees {
+	for _, tr := range trees {
+		g := tr.g
 		if !g.IsInTree() {
-			return nil, fmt.Errorf("E14: %s is not an in-tree", name)
+			return nil, fmt.Errorf("E14: %s is not an in-tree", tr.name)
 		}
 		in := pebble.MustInstance(g, pebble.MPP(2, 3, 3))
 		res, ok, err := exactInCfg(ctx, cfg, t, in, e14Cfg(cfg))
@@ -133,18 +137,21 @@ func E15BSPEquiv(ctx context.Context, cfg Config) (*Table, error) {
 		Claim:   "With r = ∞ and minor adjustments, MPP becomes equivalent to DAG scheduling in the BSP model.",
 		Columns: []string{"dag", "k", "g", "BSP cost (analytic)", "MPP replay cost", "equal"},
 	}
-	zoo := map[string]func() *dag.Graph{
-		"fft":    func() *dag.Graph { return gen.FFT(3) },
-		"grid":   func() *dag.Graph { return gen.Grid2D(5, 4) },
-		"chains": func() *dag.Graph { return gen.IndependentChains(4, 6) },
-		"random": func() *dag.Graph { return gen.RandomDAG(40, 0.15, 4, 21) },
+	zoo := []struct {
+		name string
+		g    *dag.Graph
+	}{
+		{"fft", gen.FFT(3)},
+		{"grid", gen.Grid2D(5, 4)},
+		{"chains", gen.IndependentChains(4, 6)},
+		{"random", gen.RandomDAG(40, 0.15, 4, 21)},
 	}
 	allEq := true
-	for name, mk := range zoo {
+	for _, z := range zoo {
 		if ctxDone(ctx, t, "E15 zoo") {
 			return t, nil
 		}
-		g := mk()
+		g := z.g
 		for _, k := range []int{2, 3} {
 			for _, ioCost := range []int{1, 5} {
 				s := bsp.LevelSchedule(g, k)
@@ -159,7 +166,7 @@ func E15BSPEquiv(ctx context.Context, cfg Config) (*Table, error) {
 				}
 				eq := rep.Cost == want
 				allEq = allEq && eq
-				t.AddRow(name, di(k), di(ioCost), d64(want), d64(rep.Cost), boolMark(eq))
+				t.AddRow(z.name, di(k), di(ioCost), d64(want), d64(rep.Cost), boolMark(eq))
 			}
 		}
 	}

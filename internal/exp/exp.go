@@ -35,10 +35,10 @@ type Config struct {
 	// MaxStates caps each exact-solver call's explored states, overriding
 	// the experiment's built-in budget (0 = keep the built-in budget).
 	MaxStates int
-	// Async switches every exact-solver call to opt.ModeAsync: same
-	// proven optima, faster multicore wall-clock, but States/Pruned and
-	// witness traces stop being run-to-run deterministic (see DESIGN.md
-	// §6). mppexp -async sets it.
+	// Async switches every exact-solver call to opt.ModeAsync, sharded
+	// GOMAXPROCS-wide: same proven optima, faster multicore wall-clock,
+	// but States/Pruned and witness traces stop being run-to-run
+	// deterministic (see DESIGN.md §6). mppexp -mode async sets it.
 	Async bool
 	// Cache, when non-nil, memoizes every exact-solver call behind its
 	// instance fingerprint (opt.SolveCached): experiments sharing

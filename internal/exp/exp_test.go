@@ -38,6 +38,32 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
+// TestTablesDeterministic renders E14 and E15 (quick) ten times each and
+// requires identical markdown: both emit rows from a fixed instance list,
+// and a deterministic exact solve prints the same state counts every run.
+func TestTablesDeterministic(t *testing.T) {
+	for _, id := range []string{"E14", "E15"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		var first string
+		for i := 0; i < 10; i++ {
+			tab, err := RunSafe(context.Background(), e, Config{Quick: true})
+			if err != nil {
+				t.Fatalf("%s run %d: %v", id, i, err)
+			}
+			var md strings.Builder
+			RenderMarkdown(&md, tab)
+			if i == 0 {
+				first = md.String()
+			} else if md.String() != first {
+				t.Fatalf("%s run %d renders differently:\n%s\nfirst run:\n%s", id, i, md.String(), first)
+			}
+		}
+	}
+}
+
 func TestRegistryAndByID(t *testing.T) {
 	reg := Registry()
 	if len(reg) != 19 {

@@ -3,11 +3,11 @@ package lint
 import "sort"
 
 // DetCheck guards the deterministic engine's core promise: byte-
-// identical Results for any worker count. That promise dies quietly —
-// a map iteration feeding the result order, a time.Now sneaking into a
+// identical Results run to run. That promise dies quietly — a map
+// iteration feeding the result order, a time.Now sneaking into a
 // tie-break, a select racing two result channels — so every function
-// transitively reachable from a `//mpp:deterministic` root (the wave
-// engine's entry points) is checked for the three hazards:
+// transitively reachable from a `//mpp:deterministic` root (the exact
+// engine's driver, runAsync) is checked for the three hazards:
 //
 //   - ranging over a map (iteration order is randomized; iterate
 //     sorted keys instead);

@@ -117,7 +117,7 @@ type DetViolation struct {
 // statically resolved callees and its determinism hazards.
 type FuncFact struct {
 	Key     string // types.Func.FullName()
-	Display string // short human name, e.g. "(*engine).runParallel"
+	Display string // short human name, e.g. "(*engine).runAsync"
 	Pkg     *Package
 	Decl    *ast.FuncDecl
 	DetRoot bool // carries //mpp:deterministic

@@ -1,19 +1,25 @@
 package opt
 
-// Asynchronous HDA* — the speculative "fast mode" engine selected by
-// Config.Mode == ModeAsync.
+// The search driver: runAsync runs one loop per shard — pop the cheapest
+// live entry, expand it, route its candidates — on one shard inline, or
+// on W > 1 shards as one free-running goroutine each (parallel.go has
+// the shared engine half and says when each applies).
 //
-// Sharding, routing batches, the atomic incumbent/budget/stop words and
-// the admissible heuristic + dominance stack are all shared with the
-// deterministic wave engine (parallel.go). What changes is the
-// coordination discipline: there are no layers, no waves and no flush
-// markers. Each shard loops pop → expand → route at full speed on
-// whatever its queue holds, draining its inbox opportunistically. This
-// removes the barrier stalls *and* the wave-synchronous expansion
-// inflation (a wave must expand every same-f state before any cheaper
-// successor information propagates; the async engine, like a sequential
-// A*, sees relaxations as soon as they arrive).
+// One shard is a sequential A*. Its bucket queue pops f in
+// non-decreasing order (the heuristic stack is consistent), LIFO inside
+// an f-bucket, which keeps the search depth-first across an f-plateau:
+// successors of the newest same-f state are tried first, reaching goal
+// states (and hence incumbent pruning) sooner. Each expanded state is
+// settled into the dominance index at once, at the g it expanded with.
+// The run ends when no live entry below the incumbent is left: its
+// first park proves quiescence, and the incumbent is the optimum. A
+// consistent heuristic expands every state at its final distance, so a
+// one-shard run never re-expands (TestHeuristicConsistencyZoo checks
+// ReExpanded == 0 for every heuristic mode).
 //
+// W > 1 shards make that loop speculative HDA*, with no barriers: each
+// shard loops pop → expand → route at full speed on whatever its queue
+// holds, draining its inbox opportunistically.
 // Exactness is kept by two rules:
 //
 //   - Re-expansion rule: a shard may expand a state before its final
@@ -25,21 +31,19 @@ package opt
 //     open f reaches the incumbent, no cheaper completion exists — still
 //     holds; only the "each state expands once" efficiency guarantee is
 //     given up.
-//   - Termination by quiescence, not by layer barrier: the incumbent is
-//     proven optimal when every queue entry below it is exhausted —
-//     detected as "all shards idle and no batch in flight" below. At
-//     that point the frontier minimum is ≥ the incumbent everywhere (an
-//     idle shard, by definition, has no live entry below the incumbent),
-//     which is exactly the deterministic engine's layer-barrier
-//     optimality proof.
+//   - Termination by quiescence: the incumbent is proven optimal when
+//     every queue entry below it is exhausted — detected as "all shards
+//     idle and no batch in flight" below. At that point the frontier
+//     minimum is ≥ the incumbent everywhere (an idle shard, by
+//     definition, has no live entry below the incumbent), which is the
+//     A* optimality proof.
 //
-// Dominance pruning stays sound: a state is settled into the dominance
-// index at every expansion, at the g it was expanded with, instead of
-// at a wave boundary. A re-expansion at a lower g adds a record that
-// covers, and so unlinks, the state's older one; the strict-inequality
-// test only ever compares against a g some path really reached, so
-// pruning never removes a state whose completions cannot be simulated
-// (dominate.go).
+// Dominance pruning stays sound: a state is settled at every expansion,
+// at the g it was expanded with. A re-expansion at a lower g adds a
+// record that covers, and so unlinks, the state's older one; the
+// strict-inequality test only ever compares against a g some path
+// really reached, so pruning never removes a state whose completions
+// cannot be simulated (dominate.go).
 //
 // Quiescence detection — the busy/inflight/activity protocol:
 //
@@ -59,20 +63,19 @@ package opt
 // become busy again (inflight == 0 and no busy shard means nothing can
 // be sent), so the flag is stable.
 //
-// Early stops (budget, cancellation) reuse the PR 5 atomics; the anytime
-// [LowerBound, Incumbent] bracket stays sound because no frontier entry
-// is ever lost: a popped entry is re-pushed when its expansion is
-// refused, quitting shards divert unflushed/unapplied batches to the
-// engine's leftover list instead of blocking on possibly-dead receivers,
-// and the coordinator applies every leftover after the workers exit,
-// before the bracket is assembled from the live queue minima.
+// Early stops (budget, cancellation) keep the anytime [LowerBound,
+// Incumbent] bracket sound because no frontier entry is ever lost: a
+// popped entry is re-pushed when its expansion is refused, quitting
+// shards divert unflushed/unapplied batches to the engine's leftover
+// list instead of blocking on possibly-dead receivers, and the
+// coordinator applies every leftover after the workers exit, before the
+// bracket is assembled from the live queue minima.
 //
-// What is traded away, exactly: States, Pruned, ReExpanded, the witness
-// trace and the partial-run bracket become timing-dependent (run-to-run
-// and across worker counts). Cost, Status and — on complete runs — the
-// optimality of the witness cost are unchanged; the async zoo
-// equivalence test (async_test.go) locks ModeAsync to ModeDeterministic
-// on exactly those fields under -race.
+// What W > 1 trades away, exactly: States, Pruned, ReExpanded, the
+// witness trace and the partial-run bracket become timing-dependent
+// (run-to-run and across worker counts). Cost, Status and — on complete
+// runs — the optimality of the witness cost are unchanged; the async
+// zoo tests (async_test.go) lock them to the one-shard run under -race.
 
 import (
 	"runtime"
@@ -82,16 +85,18 @@ import (
 	"repro/internal/pebble"
 )
 
-// Mode selects the parallel engine's coordination discipline (see
-// Config.Mode).
+// Mode selects how many shards the engine runs on (see Config.Mode).
 type Mode uint8
 
 const (
-	// ModeDeterministic is the wave-synchronous engine: results are
-	// byte-identical for every worker count. The default.
+	// ModeDeterministic runs the engine on one shard, whatever
+	// Config.Workers says: short of a deadline or cancel, every Result
+	// field is a pure function of the instance and the result-affecting
+	// config. The default.
 	ModeDeterministic Mode = iota
-	// ModeAsync is the speculative asynchronous engine: exact optima,
-	// higher throughput, timing-dependent statistics and traces.
+	// ModeAsync shards the search across Config.Workers goroutines:
+	// exact optima, multicore throughput, timing-dependent statistics
+	// and traces when Workers > 1.
 	ModeAsync
 )
 
@@ -104,8 +109,8 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode parses "deterministic" or "async" (the spelling used by
-// cmd/mppexp's -mode flag and the server's job requests).
+// ParseMode parses "deterministic" or "async" (the spelling of
+// cmd/mppexp's -mode flag).
 func ParseMode(s string) (Mode, bool) {
 	switch s {
 	case "deterministic":
@@ -153,10 +158,8 @@ func (s *solver) asyncExpand(ent bqEntry, f int64) expandOutcome {
 		return expandStopped
 	}
 	s.expandedMark[ent.idx] = true
-	s.expanded++
 	if s.useDom {
-		// Settle at every expansion, at its g (the wave engine settles
-		// at wave boundaries): sound either way, and a reopened state's
+		// Settle at every expansion, at its g: a reopened state's
 		// cheaper record replaces its older one in the index.
 		k := s.in.K
 		s.dom.add(s.cur[k], s.cur[k+1], ent.g, s.cur[:k])
@@ -166,16 +169,18 @@ func (s *solver) asyncExpand(ent bqEntry, f int64) expandOutcome {
 	return expandOK
 }
 
-// runAsync is the async driver: one free-running goroutine per shard,
+// runAsync is the driver: one free-running goroutine per shard,
 // coordinated only through the inboxes and the quiescence atomics. The
 // coordinator just waits, then sweeps up leftovers and assembles the
 // result from quiescent memory. A single shard runs its loop in place,
 // with no goroutines: a plain sequential A* with incumbent pruning,
 // whose nil inbox never delivers and whose first park proves quiescence.
+//
+//mpp:deterministic
 func (e *engine) runAsync() (*Result, error) {
 	if e.ctx.Err() != nil {
 		e.requestStop(StatusCanceled)
-		return e.partialResult(StatusCanceled, 0, false)
+		return e.partialResult(StatusCanceled)
 	}
 	atomic.StoreInt64(&e.busy, int64(e.nShards))
 	if e.nShards == 1 {
@@ -201,7 +206,7 @@ func (e *engine) runAsync() (*Result, error) {
 	if st == StatusComplete {
 		st = StatusCanceled // unreachable: workers exit only on done or stop
 	}
-	return e.partialResult(st, 0, false)
+	return e.partialResult(st)
 }
 
 // asyncLoop is one shard's free-running worker: drain the inbox, pop the
@@ -294,11 +299,13 @@ func (s *solver) asyncFlush() {
 	}
 }
 
-// asyncShip delivers a batch to dst's inbox, draining this shard's own
-// inbox while the destination is full (the same no-circular-wait
-// argument as send). If the search stops first, the batch goes to the
-// engine's leftover list — the receiver may already have quit, and the
-// coordinator applies leftovers after the workers exit.
+// asyncShip delivers a batch to dst's inbox. While the destination is
+// full, the sender drains its own inbox instead of blocking — a blocked
+// sender that keeps its inbox empty can never take part in a circular
+// wait, so the bounded channels cannot deadlock. If the search stops
+// first, the batch goes to the engine's leftover list — the receiver may
+// already have quit, and the coordinator applies leftovers after the
+// workers exit.
 func (s *solver) asyncShip(dst int, b *batch) {
 	e := s.eng
 	atomic.AddInt64(&e.inflight, 1)

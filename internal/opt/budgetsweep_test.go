@@ -2,20 +2,20 @@ package opt
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/pebble"
 )
 
-// TestBudgetSweepDeterminism samples the budget axis on every zoo case
-// and pins the deterministic engine's partial-result contract off the
-// wave grid: at each sampled MaxStates, Workers=4 must reproduce the
-// Workers=1 Incumbent/States/LowerBound/Status exactly. This is the
-// bounded successor of a PR 5 diagnostic that swept every third budget
-// (thousands of solves, minutes of wall clock, dominating the package's
-// shared test deadline); a spread of ~8 sample points per case catches
-// the same class of wave-boundary regressions in a few seconds, and the
-// dense sweep found nothing the samples miss.
+// TestBudgetSweepDeterminism samples the budget axis on every zoo case,
+// off the fixed budgets TestExactWorkersMatchSequentialZoo runs, and
+// pins ModeDeterministic's partial-result contract there: at each
+// sampled MaxStates, Workers=4 must reproduce the Workers=1 Result
+// exactly, and a budget stop must have expanded exactly MaxStates
+// states. A spread of ~8 sample points per case — the earliest
+// expansions, mid-search and just shy of completion — keeps the sweep
+// to a few seconds.
 func TestBudgetSweepDeterminism(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
@@ -24,8 +24,6 @@ func TestBudgetSweepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s full: %v", c.name, err)
 		}
-		// Fixed small budgets hit the earliest waves; the proportional
-		// points land mid-search and just shy of completion.
 		budgets := []int{1, 2, 3, 5, 8,
 			full.States / 3, 2 * full.States / 3, full.States - 1}
 		for _, max := range budgets {
@@ -41,11 +39,14 @@ func TestBudgetSweepDeterminism(t *testing.T) {
 			if (err1 == nil) != (err4 == nil) {
 				t.Fatalf("%s budget=%d: w4 err %v vs w1 err %v", c.name, max, err4, err1)
 			}
-			if w4.Incumbent != w1.Incumbent || w4.States != w1.States ||
-				w4.LowerBound != w1.LowerBound || w4.Status != w1.Status {
+			if !reflect.DeepEqual(w4, w1) {
 				t.Errorf("%s budget=%d: w4 (inc %d states %d lb %d st %v) != w1 (inc %d states %d lb %d st %v)",
 					c.name, max, w4.Incumbent, w4.States, w4.LowerBound, w4.Status,
 					w1.Incumbent, w1.States, w1.LowerBound, w1.Status)
+			}
+			if w1.Status == StatusBudget && w1.States != max {
+				t.Errorf("%s budget=%d: budget stop after %d states, want exactly %d",
+					c.name, max, w1.States, max)
 			}
 		}
 	}

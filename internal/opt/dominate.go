@@ -19,12 +19,8 @@ package opt
 // Pruning is only enabled in non-witness mode, alongside shade
 // canonicalization (a pruned state has no parent edge, and the subset
 // test per canonical position is what makes the processor matching
-// sound). "Settled" means expanded in an *earlier wave* of the layered
-// search: solver.settleWave registers a wave's expansions at the wave
-// boundary, so the dominator set any candidate is tested against is a
-// pure function of the wave number — the property that keeps pruning
-// byte-identical across worker counts (parallel.go). The async engine
-// settles at every expansion instead (async.go).
+// sound). "Settled" means expanded: solver.asyncExpand adds each state's
+// record at the g it expands with (async.go).
 //
 // Layout. Settled states are indexed by a (blue, computed) hash in an
 // open-addressing side table. Each occupied slot holds its two key
@@ -46,8 +42,7 @@ package opt
 // scan of every record ever added would. The surviving set is the front
 // of everything settled, whatever the insertion order; identical records
 // tie, and ties give identical answers. Chain order changes how many
-// records a check visits, never what it answers, so wave determinism is
-// untouched.
+// records a check visits, never what it answers.
 
 const domEmptySlot = int32(-1)
 

@@ -126,9 +126,9 @@ func checkFront(t *testing.T, seed int64, chain, added []domRecord) {
 }
 
 // TestDominanceVisitGate pins the work of the dominance index: the
-// records dominated visits on grid 3×3 at MPP(2,3,2), deterministic
-// engine, one worker. The count is deterministic at Workers=1, and a
-// change that makes checks walk more records shows up here even when
+// records dominated visits on grid 3×3 at MPP(2,3,2) in ModeDeterministic,
+// whose one-shard run makes the count deterministic. A change that
+// makes checks walk more records shows up here even when
 // every answer, and so States and Pruned (pinned by the golden row
 // grid3x3-k2/default), stays the same. DESIGN.md §6 sets the count
 // against chains that keep every settled state.
@@ -138,7 +138,7 @@ func TestDominanceVisitGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantVisits = 16_115_141
+	const wantVisits = 13_995_786
 	if visits != wantVisits {
 		t.Errorf("dominance checks visited %d records, want %d", visits, wantVisits)
 	}

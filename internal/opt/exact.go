@@ -19,13 +19,13 @@
 // candidate touches the heap zero times. The tests run the same search
 // against the map-backed hashtab.Ref and lock the results byte-for-byte.
 //
-// The search is organized as a wave-synchronous A* over f-layers (see
-// parallel.go): with Config.Workers > 1 the state space is hash-sharded
-// across workers HDA*-style, and the layer barriers make the results
-// byte-identical to the single-worker run regardless of worker count.
-// Config.Mode = ModeAsync swaps the layer barriers for speculative
-// asynchronous HDA* (see async.go): the optimum stays exact, but
-// expansion counts and traces become timing-dependent.
+// One engine runs every exact search (see parallel.go and async.go). In
+// ModeDeterministic, the default, it runs on one shard: a sequential A*
+// whose Result — witness included — is a pure function of the instance
+// and the result-affecting config, unless a deadline or cancel stops
+// it. ModeAsync hash-shards the state space
+// across Config.Workers goroutines, HDA*-style: the optimum stays exact,
+// but expansion counts and traces become timing-dependent.
 //
 // Solver arenas (table, queue, dominance index, scratch) are recycled
 // through a package-level pool across searches (see pool.go), so
@@ -56,11 +56,10 @@ type Result struct {
 	Cost int64
 	// States counts charged expansions summed across shards: states
 	// popped live from a frontier and expanded (each charged once against
-	// Config.MaxStates). The meaning is identical in every engine —
-	// inline, deterministic-sharded and async; in ModeDeterministic the
-	// count is additionally invariant across worker counts, while in
-	// ModeAsync it is timing-dependent (a state re-expanded after a
-	// better-g reopening is charged again — see ReExpanded).
+	// Config.MaxStates; a budget stop has States == MaxStates). On one
+	// shard the count is deterministic; with ModeAsync at Workers > 1 it
+	// is timing-dependent (a state re-expanded after a better-g reopening
+	// is charged again — see ReExpanded).
 	States int
 
 	// Status reports whether the search completed or why it stopped.
@@ -89,14 +88,14 @@ type Result struct {
 	// heuristic proved dead (counted once per dead state, on first
 	// insertion — dead-ness is a pure function of the state, so this
 	// share is order-independent). Zero when dominance is off and the
-	// instance is not one-shot. The meaning is identical in every engine;
-	// in ModeDeterministic the value is invariant across worker counts,
-	// in ModeAsync it is timing-dependent like States.
+	// instance is not one-shot. Deterministic on one shard, timing-
+	// dependent like States with ModeAsync at Workers > 1.
 	Pruned int
-	// ReExpanded counts ModeAsync re-expansions: a speculatively expanded
-	// state reopened by a later, cheaper path and expanded again (each
-	// such expansion is also in States). Always 0 in ModeDeterministic —
-	// the layer barriers make premature expansion impossible.
+	// ReExpanded counts re-expansions: an expanded state reopened by a
+	// later, cheaper path and expanded again (each such expansion is also
+	// in States). Only speculation across shards causes them: on one
+	// shard the consistent heuristic expands every state at its final
+	// distance, so the count is 0.
 	ReExpanded int
 	// HeuristicMode records which heuristic stack guided the search.
 	HeuristicMode HeuristicMode
@@ -104,17 +103,12 @@ type Result struct {
 
 // Config selects the search variant. The zero value is a valid
 // no-frills configuration (max heuristic, no dominance, no witness, no
-// state budget, GOMAXPROCS workers); most callers want DefaultConfig.
+// state budget, deterministic); most callers want DefaultConfig.
 type Config struct {
-	// MaxStates bounds the number of distinct states expanded (summed
-	// across workers); exceeding it stops the search with a partial
-	// Result and ErrBudget. Non-positive means unbounded. Deterministic
-	// engines check the budget at wave boundaries and let the stopping
-	// wave finish — States may overshoot MaxStates by that wave's tail,
-	// which is what keeps every partial-Result field a pure function of
-	// the search graph (a mid-wave cut would expand a scheduling-
-	// dependent subset). ModeAsync promises no such invariance and
-	// enforces the cap exactly, per expansion.
+	// MaxStates bounds the number of states expanded (summed across
+	// shards); exceeding it stops the search with a partial Result and
+	// ErrBudget. The cap is enforced per expansion, so a budget stop has
+	// expanded exactly MaxStates states. Non-positive means unbounded.
 	MaxStates int
 	// Heuristic selects the admissible bound stack (zero value:
 	// HeuristicMax, the strongest).
@@ -125,28 +119,23 @@ type Config struct {
 	Dominance bool
 	// Witness requests reconstruction of one optimal move sequence.
 	Witness bool
-	// Workers is the number of search workers the state space is
-	// hash-sharded across. 0 means GOMAXPROCS; 1 runs the engine inline
-	// with no goroutines or channels. In ModeDeterministic every Result
-	// field except Strategy is byte-identical for every worker count
-	// (States and Pruned included). The witness Strategy is optimal and
-	// stable run to run at a fixed worker count, but which of the equally
-	// cheap strategies it is depends on the worker count: parent ties
-	// resolve by apply order.
+	// Workers is the number of shards a ModeAsync search is hash-sharded
+	// across: 0 means GOMAXPROCS; 1 runs the engine inline with no
+	// goroutines or channels. ModeDeterministic ignores it and always
+	// runs on one shard, so its Result, witness Strategy included, is the
+	// same at every setting.
 	Workers int
-	// Mode selects the parallel engine's coordination discipline:
-	// ModeDeterministic (the zero value) runs wave-synchronous layers
-	// with worker-count-invariant results; ModeAsync drops the barriers
-	// for raw throughput — the returned Cost/Status stay exact, but
-	// States/Pruned/ReExpanded and the witness trace become
-	// timing-dependent. See async.go.
+	// Mode selects the shard count: ModeDeterministic (the zero value)
+	// runs on one shard, deterministically, on one core; ModeAsync
+	// shards across Workers for multicore throughput — the returned
+	// Cost/Status stay exact, but at Workers > 1 States/Pruned/ReExpanded
+	// and the witness trace become timing-dependent. See async.go.
 	Mode Mode
 }
 
 // DefaultConfig is the fastest sound setup: the max heuristic with
-// dominance pruning. Workers is left 0 (GOMAXPROCS), so it runs the
-// sharded parallel search; set Workers to 1 for the single-worker
-// engine.
+// dominance pruning, on one shard. Set Mode to ModeAsync to shard the
+// search across Workers (0, the default, means GOMAXPROCS).
 func DefaultConfig(maxStates int) Config {
 	return Config{MaxStates: maxStates, Heuristic: HeuristicMax, Dominance: true}
 }
@@ -173,7 +162,7 @@ func ExactWith(ctx context.Context, in *pebble.Instance, cfg Config) (*Result, e
 // exact runs the search. newTab overrides the per-shard state table
 // constructor (tests pass the map-backed hashtab.Ref oracle); nil
 // selects the open-addressing table. A constructor rather than an
-// instance: the sharded engine needs one single-owner table per worker.
+// instance: the sharded engine needs one single-owner table per shard.
 //
 // Runs with the default table recycle their solver arenas through the
 // package pool (see pool.go); oracle runs stay pool-free so a Ref never
@@ -226,7 +215,6 @@ type solver struct {
 	cfg     Config
 	witness bool // == cfg.Witness, hoisted for the hot path
 	useDom  bool // dominance pruning active (cfg.Dominance && !witness)
-	async   bool // == (cfg.Mode == ModeAsync), hoisted for the hot path
 
 	eng   *engine // shared search-wide state (incumbent, budget, routing)
 	shard int32   // this solver's shard id
@@ -244,30 +232,19 @@ type solver struct {
 	bq     bucketQueue
 
 	// expandedMark marks state indices this shard has expanded — the
-	// within-layer dedupe (a state reappearing in a later wave of the
-	// same f-layer via an equal-cost path must not expand twice) and the
-	// settled-set definition for dominance pruning. In async mode the
-	// mark is cleared again when a cheaper path reopens the state.
+	// dedupe for stale queue entries (a state queued twice via
+	// equal-cost paths must not expand twice). The mark is cleared
+	// again when a cheaper path reopens the state.
 	expandedMark []bool
 	dom          *domIndex
 	domVisits    int // dominance records visited by dominated (tests pin it)
 	pruned       int
-	expanded     int // states expanded by this shard
-	reopened     int // async: expanded states reopened by a better g
-	pops         int // worklist entries examined, for ctx-poll throttling
+	reopened     int // expanded states reopened by a better g
+	pops         int // queue entries examined, for ctx-poll throttling
 
-	// Wave bookkeeping: the current wave's drained bucket contents and
-	// the state indices expanded during it (settled into the dominance
-	// index at the wave boundary — see parallel.go for why).
-	worklist []bqEntry
-	waveExp  []int32
-
-	// Cross-shard routing state (Workers > 1 only): per-destination
-	// outgoing batch under construction, per-source received batches for
-	// the current wave, and the count of flush markers received.
-	out      []*batch
-	incoming [][]*batch
-	markers  int
+	// Cross-shard routing state (W > 1 only): the outgoing batch under
+	// construction per destination shard.
+	out []*batch
 
 	curIdx int32 // index of the state being expanded
 
@@ -377,7 +354,7 @@ func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 }
 
 // applyRemote applies one candidate received from another shard — the
-// deferred half of offer, run during the wave's apply phase. The words
+// deferred half of offer, run when the owner drains its inbox. The words
 // slice aliases the batch buffer; Insert copies it.
 //
 //mpp:hotpath
@@ -402,11 +379,10 @@ func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.
 // candidate does not improve the known distance (the rejected path
 // allocates nothing — Insert on a present key is allocation-free).
 //
-// In async mode an improving relaxation of an already-expanded state
-// reopens it (the re-expansion rule, see async.go): the expanded mark is
-// cleared so the state expands again with the better g. Impossible in
-// deterministic mode, where layer barriers guarantee a state expands
-// only at its final distance.
+// An improving relaxation of an already-expanded state reopens it (the
+// re-expansion rule, see async.go): the expanded mark is cleared so the
+// state expands again with the better g. Only speculation across shards
+// triggers it; one shard expands every state at its final distance.
 //
 //mpp:hotpath
 func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
@@ -416,7 +392,7 @@ func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
 			return -1, false
 		}
 		s.dist[idx] = cost
-		if s.async && s.expandedMark[idx] {
+		if s.expandedMark[idx] {
 			s.expandedMark[idx] = false
 			s.reopened++
 		}
@@ -437,9 +413,9 @@ func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
 func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 	// Anytime incumbent: any goal state relaxed at cost c witnesses a
 	// feasible pebbling of cost c, even though optimality is only proven
-	// at the layer barrier. The incumbent is a search-wide atomic min,
-	// so every worker count converges to the same value. Equal-cost goals
-	// are offered too: offerIncumbent breaks the tie deterministically.
+	// once no open entry lies below it. The incumbent is a search-wide
+	// atomic min. Equal-cost goals are offered too: offerIncumbent breaks
+	// the tie by state ref.
 	if cost <= s.eng.incumbentNow() && s.isGoal(w) {
 		s.eng.offerIncumbent(cost, stateRef{shard: s.shard, idx: idx})
 	}
@@ -450,8 +426,7 @@ func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 		// queued. Counted into Pruned alongside dominance drops — but
 		// only on first insertion: dead-ness is a pure function of the
 		// state words, so counting per state (not per improvement event)
-		// keeps Pruned order-independent and hence worker-count-
-		// invariant in deterministic mode.
+		// keeps this share of Pruned order-independent.
 		if fresh {
 			s.pruned++
 		}

@@ -13,15 +13,16 @@ import (
 //
 // An oracle run is the identical search code run against the map-backed
 // hashtab.Ref instead of the open-addressing table. Because the
-// traversal, tie-breaking (FIFO within each wave of the bucket queue)
+// traversal, tie-breaking (LIFO within each bucket of the bucket queue)
 // and pruning logic are shared and only the state-identity structure is
 // swapped, an oracle run must return byte-identical results — the whole
 // Result for ExactWith, (Feasible, States, Order) for ZeroIOBig. The
 // equivalence tests assert exactly that on the DAG zoo and the Theorem 2
 // reduction instances.
 
-// seqConfig is DefaultConfig pinned to one worker, so the results the
-// tests compare against do not depend on the machine's GOMAXPROCS.
+// seqConfig is DefaultConfig pinned to one worker. ModeDeterministic
+// ignores Workers, so the pin only states what the tests compare
+// against: the one-shard run, whatever the machine's GOMAXPROCS.
 func seqConfig(maxStates int) Config {
 	cfg := DefaultConfig(maxStates)
 	cfg.Workers = 1

@@ -13,7 +13,8 @@ import (
 )
 
 // These tests pin the heuristic stack's contract: every mode is
-// admissible (h(start) ≤ OPT, partial lower bounds ≤ OPT), the max mode
+// admissible (h(start) ≤ OPT, partial lower bounds ≤ OPT) and
+// consistent (a one-shard search never re-expands), the max mode
 // dominates the floor, dominance pruning never changes the optimum, and
 // complete results collapse their bracket exactly.
 
@@ -196,6 +197,32 @@ func TestCompleteBracketInvariant(t *testing.T) {
 			if res.LowerBound != res.Cost || res.Incumbent != res.Cost {
 				t.Errorf("%s/%v: complete bracket [%d, %d] does not collapse to cost %d",
 					c.name, cfg.Heuristic, res.LowerBound, res.Incumbent, res.Cost)
+			}
+		}
+	}
+}
+
+// TestHeuristicConsistencyZoo is the consistency gate. Admissibility
+// alone keeps the engine exact, because an improved state is reopened;
+// the monotone bucket queue and the claim that one shard never
+// re-expands need every heuristic mode to be consistent. A consistent
+// heuristic expands each state at its final distance, so over the zoo ×
+// heuristic mode × dominance × witness every one-shard run must report
+// ReExpanded == 0.
+func TestHeuristicConsistencyZoo(t *testing.T) {
+	for _, c := range zooCases() {
+		in := pebble.MustInstance(c.g, c.p)
+		for _, cfg := range exactConfigs(budget) {
+			for _, witness := range []bool{false, true} {
+				cfg.Witness = witness
+				res, err := ExactWith(context.Background(), in, cfg)
+				if err != nil {
+					t.Fatalf("%s/%v dom=%v witness=%v: %v", c.name, cfg.Heuristic, cfg.Dominance, witness, err)
+				}
+				if res.ReExpanded != 0 {
+					t.Errorf("%s/%v dom=%v witness=%v: %d re-expansions on one shard, want 0",
+						c.name, cfg.Heuristic, cfg.Dominance, witness, res.ReExpanded)
+				}
 			}
 		}
 	}

@@ -3,63 +3,80 @@ package opt
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/pebble"
 )
 
-// Tests of the sharded wave-synchronous engine: byte-identical results
-// across worker counts, oracle equivalence at each worker count, the
-// anytime contract under sharding, and the incumbent-less LowerBound
-// regression (ISSUE 5).
+// Tests of the engine across worker counts: ModeDeterministic's whole
+// Result is the same at every Workers setting, oracle equivalence holds
+// at each setting, and so does the anytime contract, the incumbent-less
+// LowerBound regression included.
 
-// workerSweep is the worker-count grid the determinism tests run: the
-// inline path, two even splits, and a prime that exercises uneven
-// shard ownership.
+// workerSweep is the worker-count grid the tests run: the inline path,
+// two even splits, and a prime that exercises uneven shard ownership
+// (ModeAsync shards across it; ModeDeterministic ignores it).
 var workerSweep = []int{1, 2, 4, 7}
 
-// TestExactWorkersMatchSequentialZoo locks the parallel solver to the
-// single-worker run for every zoo case and worker count: Cost, States,
-// Status, Incumbent, LowerBound and Pruned must all be byte-identical.
-// Pruned is unconditional since the dead-state share started counting
-// distinct dead states (order-independent) instead of improvement
-// events — the ISSUE 6 stats unification.
+// TestExactWorkersMatchSequentialZoo is ModeDeterministic's contract on
+// the zoo, with and without witness, at budgets unbounded, 1, 2, 10 and
+// 100: the whole Result — Strategy bytes included — and the error are
+// the same at every Workers setting (GOMAXPROCS resolution included) and
+// equal ModeAsync's at one worker; a budget stop has expanded exactly
+// MaxStates states; and every partial bracket contains the optimum.
 func TestExactWorkersMatchSequentialZoo(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		cfg := DefaultConfig(budget)
-		cfg.Workers = 1
-		want, err := ExactWith(ctx, in, cfg)
-		if err != nil {
-			t.Fatalf("%s: workers=1: %v", c.name, err)
-		}
-		for _, w := range workerSweep[1:] {
-			cfg.Workers = w
-			got, err := ExactWith(ctx, in, cfg)
-			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", c.name, w, err)
-			}
-			if got.Cost != want.Cost || got.States != want.States ||
-				got.Status != want.Status || got.Incumbent != want.Incumbent ||
-				got.LowerBound != want.LowerBound {
-				t.Errorf("%s: workers=%d (cost %d states %d status %v inc %d lb %d) ≠ workers=1 (cost %d states %d status %v inc %d lb %d)",
-					c.name, w, got.Cost, got.States, got.Status, got.Incumbent, got.LowerBound,
-					want.Cost, want.States, want.Status, want.Incumbent, want.LowerBound)
-			}
-			if got.Pruned != want.Pruned {
-				t.Errorf("%s: workers=%d pruned %d ≠ workers=1 pruned %d",
-					c.name, w, got.Pruned, want.Pruned)
+		for _, witness := range []bool{false, true} {
+			optimum := int64(-1)
+			for _, max := range []int{0, 1, 2, 10, 100} {
+				tag := fmt.Sprintf("%s witness=%v budget=%d", c.name, witness, max)
+				cfg := DefaultConfig(max)
+				cfg.Witness = witness
+				cfg.Mode, cfg.Workers = ModeAsync, 1
+				want, wantErr := ExactWith(ctx, in, cfg)
+				if want == nil {
+					t.Fatalf("%s: async workers=1: %v", tag, wantErr)
+				}
+				switch {
+				case max == 0:
+					if wantErr != nil || want.Status != StatusComplete {
+						t.Fatalf("%s: unbounded solve: status %v, %v", tag, want.Status, wantErr)
+					}
+					optimum = want.Cost
+				case want.Status == StatusBudget:
+					if want.States != max {
+						t.Errorf("%s: budget stop after %d states, want exactly %d", tag, want.States, max)
+					}
+					incumbentOK(t, tag, want, optimum)
+				case want.Status != StatusComplete || want.Cost != optimum:
+					t.Errorf("%s: status %v cost %d, want a budget stop or the optimum %d",
+						tag, want.Status, want.Cost, optimum)
+				}
+				for _, w := range append([]int{0}, workerSweep...) {
+					cfg.Mode, cfg.Workers = ModeDeterministic, w
+					got, err := ExactWith(ctx, in, cfg)
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Fatalf("%s: workers=%d: error %v, async workers=1 error %v", tag, w, err, wantErr)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: workers=%d differs from async workers=1:\n got  %+v %v\n want %+v %v",
+							tag, w, got, got.Strategy, want, want.Strategy)
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestExactWorkersMatchOracleZoo runs table vs map-backed oracle at
-// every worker count: the two implementations perform the identical
-// operation sequence per shard, so every Result field (Pruned included)
-// must match byte-for-byte.
+// every worker setting: the two implementations perform the identical
+// operation sequence, so every Result field (Pruned included) must
+// match byte-for-byte.
 func TestExactWorkersMatchOracleZoo(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
@@ -85,11 +102,8 @@ func TestExactWorkersMatchOracleZoo(t *testing.T) {
 	}
 }
 
-// TestExactWorkersWitness checks the witness contract under sharding:
-// the strategy must replay to exactly the (worker-count-invariant)
-// optimal cost. The move sequence itself may differ across worker
-// counts — parent ties resolve by apply order — so only cost and
-// validity are asserted.
+// TestExactWorkersWitness checks the witness contract at every worker
+// setting: the strategy must replay to exactly the optimal cost.
 func TestExactWorkersWitness(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
@@ -124,26 +138,29 @@ func TestExactWorkersWitness(t *testing.T) {
 }
 
 // TestExactWorkersWitnessStable is the equal-cost incumbent regression:
-// when two shards relaxed goal states at the same cost in one wave,
+// when two goal states at the same cost were relaxed concurrently,
 // whichever took the incumbent lock first supplied the witness, so
-// repeated solves at a fixed worker count returned different strategies.
-// The tie now resolves to the lowest (shard, index) ref, and 200 repeats
-// must all reconstruct the same strategy.
+// repeated solves returned different strategies. ModeDeterministic now
+// runs on one shard, so the witness must not depend on the worker count
+// either: 200 solves at Workers=2 must all reconstruct the Workers=1
+// strategy.
 func TestExactWorkersWitnessStable(t *testing.T) {
 	in := pebble.MustInstance(gen.IndependentChains(3, 2), pebble.MPP(1, 3, 2))
 	cfg := DefaultConfig(budget)
 	cfg.Witness = true
+	cfg.Workers = 1
+	first, err := ExactWith(context.Background(), in, cfg)
+	if err != nil {
+		t.Fatalf("workers=1: %v", err)
+	}
+	want := first.Strategy.String()
 	cfg.Workers = 2
-	var want string
 	for i := 0; i < 200; i++ {
 		res, err := ExactWith(context.Background(), in, cfg)
 		if err != nil {
 			t.Fatalf("solve %d: %v", i, err)
 		}
-		got := res.Strategy.String()
-		if i == 0 {
-			want = got
-		} else if got != want {
+		if got := res.Strategy.String(); got != want {
 			t.Fatalf("solve %d returned a different witness:\n got  %s\n want %s", i, got, want)
 		}
 	}
@@ -181,7 +198,8 @@ func TestExactPartialLowerBoundRegression(t *testing.T) {
 // TestExactParallelAnytimeBracket sweeps budgets at several worker
 // counts: each partial bracket must contain the true optimum, and the
 // bracket must be byte-identical to the single-worker bracket at the
-// same budget (budget stops land on deterministic wave boundaries).
+// same budget (ModeDeterministic runs one shard whatever Workers says,
+// and a budget stop lands after exactly MaxStates expansions).
 func TestExactParallelAnytimeBracket(t *testing.T) {
 	ctx := context.Background()
 	in := pebble.MustInstance(zooCases()[4].g, zooCases()[4].p) // grid2x3
@@ -193,6 +211,9 @@ func TestExactParallelAnytimeBracket(t *testing.T) {
 		cfg1 := DefaultConfig(max)
 		cfg1.Workers = 1
 		want, err1 := ExactWith(ctx, in, cfg1)
+		if want.Status == StatusBudget && want.States != max {
+			t.Errorf("budget %d: workers=1 stopped after %d states", max, want.States)
+		}
 		for _, w := range workerSweep[1:] {
 			cfg := DefaultConfig(max)
 			cfg.Workers = w
@@ -264,9 +285,8 @@ func TestExactUnboundedCompletes(t *testing.T) {
 	}
 }
 
-// TestExactWorkersDefaultResolution checks the Workers=0 path end to
-// end (GOMAXPROCS resolution included) against the pinned sequential
-// result.
+// TestExactWorkersDefaultResolution checks the Workers=0 default end to
+// end against the pinned sequential result.
 func TestExactWorkersDefaultResolution(t *testing.T) {
 	in := pebble.MustInstance(zooCases()[4].g, zooCases()[4].p)
 	want, err := exactSeq(in, budget)

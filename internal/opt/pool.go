@@ -60,8 +60,6 @@ func (s *solver) arenaBytes() int64 {
 	b += int64(cap(s.dist))*8 + sliceHdrBytes
 	b += int64(cap(s.parent))*parentEdgeBytes + sliceHdrBytes
 	b += int64(cap(s.expandedMark)) + sliceHdrBytes
-	b += int64(cap(s.worklist))*bqEntryBytes + sliceHdrBytes
-	b += int64(cap(s.waveExp))*4 + sliceHdrBytes
 	for _, bucket := range s.bq.buckets {
 		b += int64(cap(bucket))*bqEntryBytes + sliceHdrBytes
 	}
@@ -95,11 +93,9 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	s.n = in.Graph.N()
 	s.witness = cfg.Witness
 	s.useDom = cfg.Dominance && !cfg.Witness
-	s.async = cfg.Mode == ModeAsync
 	s.eng, s.shard = e, shard
-	s.pruned, s.expanded, s.reopened, s.pops = 0, 0, 0, 0
+	s.pruned, s.reopened, s.pops = 0, 0, 0
 	s.domVisits = 0
-	s.markers = 0
 	s.curIdx = 0
 	s.initDerived()
 	s.initScratch()
@@ -113,8 +109,6 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	s.expandedMark = s.expandedMark[:0]
 	s.parent = s.parent[:0]
 	s.bq.reset()
-	s.worklist = s.worklist[:0]
-	s.waveExp = s.waveExp[:0]
 	if s.useDom {
 		if s.dom == nil {
 			s.dom = newDomIndex(in.K)
@@ -124,16 +118,12 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	}
 	if e.nShards > 1 {
 		if len(s.out) == e.nShards {
-			for i := range s.out {
-				s.out[i] = nil
-				s.incoming[i] = s.incoming[i][:0]
-			}
+			clear(s.out)
 		} else {
 			s.out = make([]*batch, e.nShards)
-			s.incoming = make([][]*batch, e.nShards)
 		}
 	} else {
-		s.out, s.incoming = nil, nil
+		s.out = nil
 	}
 }
 

@@ -3,13 +3,13 @@ package opt
 // Content-addressable memoization of exact solves. SolveCached wraps
 // ExactWith with a SolveCache: the (instance, result-affecting config)
 // fingerprint (internal/cache) is looked up before searching, and
-// deterministic-engine results are stored after. The contract is
+// deterministic results are stored after. The contract is
 // byte-identity: a cache hit returns exactly the Result (and error) the
-// same deterministic solve would have produced fresh, which rests on
-// two engine invariants — complete Results are pure functions of
-// (instance, Heuristic, Dominance, Witness), and deterministic partials
-// are additionally pure functions of MaxStates (budget stops happen at
-// wave boundaries, PR 6). Hence the write policy:
+// same deterministic solve would have produced fresh. That rests on the
+// one-shard engine: a ModeDeterministic Result, witness Strategy
+// included, is a pure function of (instance, Heuristic, Dominance,
+// Witness, MaxStates), whatever Config.Workers says. Hence the write
+// policy:
 //
 //   - Only ModeDeterministic runs populate the cache. Async Results are
 //     exact in Cost/Status but carry timing-dependent statistics; caching
@@ -17,9 +17,6 @@ package opt
 //     Async callers may still read hits (their statistics are
 //     documented as timing-dependent, so deterministic values satisfy
 //     the contract), and Workers/Mode are deliberately not in the key.
-//     Every deterministic field is worker-count-invariant, but the
-//     witness Strategy is not (Config.Workers): a witness hit may carry
-//     the equally optimal strategy another worker count produced.
 //   - Only StatusComplete results enter the complete-result store, and
 //     only StatusBudget results the partial store. StatusCanceled
 //     (deadline/cancel) results are never cached: a wall-clock stop is

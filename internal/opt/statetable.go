@@ -37,10 +37,9 @@ type bqEntry struct {
 // the heuristic stack qualifies) pops f in non-decreasing order, so a
 // single forward-moving cursor over an array of buckets replaces the
 // binary heap: push is an append, pop is a slice shrink, and nothing is
-// boxed through an interface. The wave-synchronous driver consumes ties
-// within a bucket in push (FIFO) order via takeBucket, which is
-// deterministic — the oracle solvers share this queue so expansion order
-// (hence States counts) matches exactly.
+// boxed through an interface. Ties within a bucket pop LIFO (popBucket),
+// a pure function of the push sequence — the oracle solvers share this
+// queue, so expansion order (hence States counts) matches exactly.
 type bucketQueue struct {
 	buckets [][]bqEntry
 	cur     int // lowest possibly-non-empty f; only moves forward in pop
@@ -74,37 +73,11 @@ func (q *bucketQueue) push(f int64, idx int32, g int64) {
 	q.size++
 }
 
-// takeBucket removes every entry currently in bucket f and appends them
-// to into[:0], returning the slice. The wave-synchronous driver drains a
-// whole f-layer bucket at once: copying into a caller-owned worklist is
-// what lets same-f candidates generated mid-wave land in the (now empty)
-// bucket again and form the next wave instead of extending this one.
-// Entries come back in push (FIFO) order. Buckets below the queue cursor
-// are already empty, so f outside the allocated range returns into[:0].
-//
-//mpp:hotpath
-func (q *bucketQueue) takeBucket(f int64, into []bqEntry) []bqEntry {
-	into = into[:0]
-	fi := int(f)
-	if fi >= len(q.buckets) {
-		return into
-	}
-	b := q.buckets[fi]
-	if len(b) == 0 {
-		return into
-	}
-	into = append(into, b...)
-	q.buckets[fi] = b[:0]
-	q.size -= len(into)
-	return into
-}
-
 // popBucket removes and returns one entry from bucket f (false when the
-// bucket is empty or out of range). The asynchronous engine pops one
-// entry at a time instead of draining whole waves; within a bucket the
-// order is LIFO, which keeps the speculative search depth-first across
-// an f-plateau — successors of the newest same-f state are tried first,
-// reaching goal states (and hence incumbent pruning) sooner.
+// bucket is empty or out of range). Within a bucket the order is LIFO,
+// which keeps the search depth-first across an f-plateau — successors
+// of the newest same-f state are tried first, reaching goal states (and
+// hence incumbent pruning) sooner.
 //
 //mpp:hotpath
 func (q *bucketQueue) popBucket(f int64) (bqEntry, bool) {
@@ -127,13 +100,6 @@ func (q *bucketQueue) reset() {
 	}
 	q.cur = 0
 	q.size = 0
-}
-
-// hasBucket reports whether bucket f currently holds any entry (live or
-// stale) — the wave driver's "does this layer need another wave" test.
-func (q *bucketQueue) hasBucket(f int64) bool {
-	fi := int(f)
-	return fi < len(q.buckets) && len(q.buckets[fi]) > 0
 }
 
 // minF returns the smallest f-value currently queued (false when empty).

@@ -49,7 +49,6 @@ type SubmitRequest struct {
 	Heuristic string `json:"heuristic,omitempty"`  // "" → "max"
 	Dominance *bool  `json:"dominance,omitempty"`  // nil → true
 	Witness   bool   `json:"witness,omitempty"`
-	Mode      string `json:"mode,omitempty"` // "" → "deterministic"
 
 	// TimeoutMS is the per-job wall-clock deadline in milliseconds,
 	// measured from the moment a worker starts the solve (queue wait is
@@ -62,13 +61,6 @@ type SubmitRequest struct {
 // configuration and deadline a worker will run. It is exported (and
 // deterministic) so out-of-process clients — the e2e harness in
 // particular — can reproduce a server-side solve bit-for-bit.
-//
-// Every job runs on one search worker (Config.Workers = 1). The
-// scheduler already runs jobs side by side (GOMAXPROCS of them by
-// default), so sharding each job GOMAXPROCS-wide as well would only add
-// routing; and a witness depends on the worker count, so a
-// host-dependent width would make a job's bytes depend on the host's
-// core count.
 func (req *SubmitRequest) Build() (*pebble.Instance, opt.Config, time.Duration, error) {
 	var cfg opt.Config
 	g, err := req.graph()
@@ -93,7 +85,6 @@ func (req *SubmitRequest) Build() (*pebble.Instance, opt.Config, time.Duration, 
 	}
 
 	cfg = opt.DefaultConfig(req.MaxStates)
-	cfg.Workers = 1
 	if req.Heuristic != "" {
 		h, ok := opt.ParseHeuristicMode(req.Heuristic)
 		if !ok {
@@ -105,13 +96,6 @@ func (req *SubmitRequest) Build() (*pebble.Instance, opt.Config, time.Duration, 
 		cfg.Dominance = *req.Dominance
 	}
 	cfg.Witness = req.Witness
-	if req.Mode != "" {
-		m, ok := opt.ParseMode(req.Mode)
-		if !ok {
-			return nil, cfg, 0, fmt.Errorf(`unknown mode %q (accepted: "deterministic", "async")`, req.Mode)
-		}
-		cfg.Mode = m
-	}
 	if req.TimeoutMS < 0 {
 		return nil, cfg, 0, fmt.Errorf("timeout_ms = %d, want ≥ 0", req.TimeoutMS)
 	}

@@ -185,10 +185,11 @@ func TestWitnessResultCarriesStrategy(t *testing.T) {
 }
 
 // TestWitnessJobIsHostIndependent: a witness job returns the bytes of
-// a local one-worker solve whatever the host's core count. The witness
-// strategy depends on the worker count, and chains:3,2 at k=1, g=2
-// reconstructs a different one at two workers than at one, so a job
-// sharded GOMAXPROCS-wide would fail here under GOMAXPROCS 2.
+// a local one-worker solve whatever the host's core count. Build leaves
+// Workers at 0 (GOMAXPROCS), and a deterministic job runs on one shard
+// whatever Workers says; chains:3,2 at k=1, g=2 has equally cheap
+// witnesses, so a job sharded GOMAXPROCS-wide could return another one
+// here under GOMAXPROCS 2.
 func TestWitnessJobIsHostIndependent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ts := startServer(t, Options{Workers: 1})

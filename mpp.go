@@ -73,19 +73,18 @@ type (
 	// stopped it.
 	SearchStatus = opt.Status
 	// SearchConfig selects the exact solver's heuristic mode, pruning
-	// switches, shard-worker count (Workers: 0 = GOMAXPROCS) and engine
-	// mode (Mode: deterministic runs are byte-identical at every worker
-	// count, async trades that determinism for multicore throughput);
-	// the zero value is the bare compute floor with pruning off,
-	// opt.DefaultConfig the full stack.
+	// switches, engine mode (Mode: deterministic runs on one shard, async
+	// shards across Workers, 0 = GOMAXPROCS, trading determinism for
+	// multicore throughput) and budget; the zero value is the max
+	// heuristic with pruning off, opt.DefaultConfig the full stack.
 	SearchConfig = opt.Config
 	// HeuristicMode picks the admissible cost-to-go bound (floor | io |
 	// max) the exact search runs under.
 	HeuristicMode = opt.HeuristicMode
-	// SearchMode selects the exact engine: ModeDeterministic (wave-
-	// synchronous, byte-identical statistics at every worker count) or
-	// ModeAsync (speculative HDA*, same proven optima, timing-dependent
-	// statistics — see DESIGN.md §6).
+	// SearchMode selects how the exact engine runs: ModeDeterministic
+	// (one shard on one core, byte-identical results whatever Workers
+	// says) or ModeAsync (speculative HDA* across Workers shards, same
+	// proven optima, timing-dependent statistics — see DESIGN.md §6).
 	SearchMode = opt.Mode
 	// SolveCache memoizes exact-solver results behind canonical instance
 	// fingerprints (DAG structure + Params + the result-affecting config

@@ -51,14 +51,14 @@ echo "== bench module =="
 (cd bench && go build -o /dev/null ./... && go test ./...)
 
 echo "== go test -race =="
-# The sharded exact solver (opt.Config.Workers > 1) routes states across
-# shard goroutines over channels with an atomic incumbent/budget — so
-# internal/opt runs its FULL race suite (the determinism sweep over
-# Workers ∈ {1,2,4,7} AND the async-engine equivalence properties —
-# TestAsyncMatchesDeterministicZoo, TestAsyncWitnessReplays,
-# TestAsyncPartialBudgetBracket, TestAsyncCancel — included; ~2.5 min
-# under -race). exp only fans out coarse-grained experiment goroutines
-# and stays -short.
+# The sharded exact solver (ModeAsync, opt.Config.Workers > 1) routes
+# states across shard goroutines over channels with an atomic
+# incumbent/budget — so internal/opt runs its FULL race suite (the
+# sharded-mode properties TestAsyncMatchesDeterministicZoo,
+# TestAsyncWitnessReplays, TestAsyncPartialBudgetBracket and
+# TestAsyncCancel, and the deterministic-mode contract
+# TestExactWorkersMatchSequentialZoo, included). exp only fans out
+# coarse-grained experiment goroutines and stays -short.
 go test -race ./internal/opt/
 # The solve cache is a shared mutex-guarded LRU hit by concurrent
 # solvers (and its fingerprint property tests are zoo-wide), so it runs
