@@ -48,7 +48,9 @@ import (
 // file-store blobs miss cleanly instead of decoding under the wrong
 // semantics. Version 2: deterministic solves run on one shard, so
 // States, Pruned, brackets and witnesses differ from version 1's.
-const keyVersion = 2
+// Version 3: the search generates only maximal parallel moves, which
+// changes States, Pruned, budget-stop brackets and witnesses.
+const keyVersion = 3
 
 // Key domain tags, so a complete-result key and a partial-bracket key of
 // the same instance can never collide.

@@ -435,11 +435,14 @@ func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 	s.bq.push(cost+h, idx, cost)
 }
 
-// expand generates every successor state of s.cur. Per-processor option
-// lists are combined into parallel moves; since a parallel move costs the
-// same as a single action of the same kind, one might hope only maximal
-// combinations matter, but adding an extra legal action occupies memory,
-// so the full product of per-processor choices is explored.
+// expand generates the successors of s.cur under the maximal-move normal
+// form (DESIGN.md §6). A parallel move costs the same whatever the size
+// of its shaded selection, so in a compute, read or write move every
+// processor with a legal action takes one: the successor of a smaller
+// selection is reachable from the maximal one's by free deletes, and the
+// extra pebbles never hurt. One-shot computes are the exception and
+// keep the idle choice, because computing a node early forbids
+// computing it later on another processor.
 //
 //mpp:hotpath
 func (s *solver) expand(cost int64) {
@@ -447,8 +450,9 @@ func (s *solver) expand(cost int64) {
 	gCost := int64(s.in.G)
 	cCost := int64(s.in.ComputeCost)
 
-	// Per-processor candidate actions for each move kind. -1 encodes
-	// "idle" (processor not in the shaded selection).
+	// Per-processor candidate actions for each move kind. A full
+	// processor gets no compute or read option: it would exceed r, and
+	// under lazy deletion it deletes first.
 	blue := s.blueWord(s.cur)
 	computed := s.computedWord(s.cur)
 	for p := 0; p < k; p++ {
@@ -456,21 +460,26 @@ func (s *solver) expand(cost int64) {
 		ro := s.readOpts[p][:0]
 		wo := s.writeOpts[p][:0]
 		red := s.cur[p]
+		full := popcount(red) >= s.in.R
 		for v := 0; v < s.n; v++ {
 			bit := uint64(1) << uint(v)
-			// Compute v on p: all preds red on p, v not red on p, memory ok.
-			if s.predMask[v]&^red == 0 && red&bit == 0 {
-				if !s.in.OneShot || computed&bit == 0 {
-					co = append(co, v)
+			if red&bit != 0 {
+				// Write v from p: v red on p, not already blue.
+				if blue&bit == 0 {
+					wo = append(wo, v)
 				}
+				continue
 			}
-			// Read v into p: v blue, not already red on p.
-			if blue&bit != 0 && red&bit == 0 {
+			if full {
+				continue
+			}
+			// Compute v on p: all preds red on p.
+			if s.predMask[v]&^red == 0 && (!s.in.OneShot || computed&bit == 0) {
+				co = append(co, v)
+			}
+			// Read v into p: v blue.
+			if blue&bit != 0 {
 				ro = append(ro, v)
-			}
-			// Write v from p: v red on p, not already blue.
-			if red&bit != 0 && blue&bit == 0 {
-				wo = append(wo, v)
 			}
 		}
 		s.computeOpts[p], s.readOpts[p], s.writeOpts[p] = co, ro, wo
@@ -499,13 +508,14 @@ func (s *solver) expand(cost int64) {
 		}
 	}
 
-	s.product(s.computeOpts, pebble.OpCompute, cost+cCost)
-	s.product(s.readOpts, pebble.OpRead, cost+gCost)
-	s.product(s.writeOpts, pebble.OpWrite, cost+gCost)
+	s.product(s.computeOpts, pebble.OpCompute, cost+cCost, s.in.OneShot)
+	s.product(s.readOpts, pebble.OpRead, cost+gCost, false)
+	s.product(s.writeOpts, pebble.OpWrite, cost+gCost, false)
 }
 
 // applyChoice builds the successor for s.choice under the given move kind
-// into s.cand and offers it if legal.
+// into s.cand and offers it if legal. No processor can overflow r: only
+// processors with a free slot have compute or read options (expand).
 //
 //mpp:hotpath
 func (s *solver) applyChoice(kind pebble.OpKind, newCost int64) {
@@ -524,9 +534,6 @@ func (s *solver) applyChoice(kind pebble.OpKind, newCost int64) {
 			seen |= bit
 			s.cand[p] |= bit
 			s.cand[s.in.K+1] |= bit
-			if popcount(s.cand[p]) > s.in.R {
-				return
-			}
 		}
 	case pebble.OpRead:
 		for p, v := range s.choice {
@@ -534,9 +541,6 @@ func (s *solver) applyChoice(kind pebble.OpKind, newCost int64) {
 				continue
 			}
 			s.cand[p] |= 1 << uint(v)
-			if popcount(s.cand[p]) > s.in.R {
-				return
-			}
 		}
 	case pebble.OpWrite:
 		for _, v := range s.choice {
@@ -560,29 +564,34 @@ func moveOf(kind pebble.OpKind, choice []int) pebble.Move {
 	return m
 }
 
-// product enumerates every non-empty combination of per-processor
-// choices (-1 = idle) into s.choice and applies each. One-shot duplicates
-// of the same node on different processors in a single compute move are
-// rejected in applyChoice.
+// product enumerates the maximal combinations of per-processor choices
+// into s.choice and applies each: a processor with options takes one of
+// them, and one without stays idle (-1). With idle set (one-shot
+// computes) every processor may also stay idle, so every non-empty
+// combination is tried. One-shot duplicates of the same node on
+// different processors in a single compute move are rejected in
+// applyChoice.
 //
 //mpp:hotpath
-func (s *solver) product(opts [][]int, kind pebble.OpKind, newCost int64) {
-	s.productRec(opts, kind, newCost, 0, false)
+func (s *solver) product(opts [][]int, kind pebble.OpKind, newCost int64, idle bool) {
+	s.productRec(opts, kind, newCost, 0, idle, false)
 }
 
 //mpp:hotpath
-func (s *solver) productRec(opts [][]int, kind pebble.OpKind, newCost int64, p int, any bool) {
+func (s *solver) productRec(opts [][]int, kind pebble.OpKind, newCost int64, p int, idle, any bool) {
 	if p == len(opts) {
 		if any {
 			s.applyChoice(kind, newCost)
 		}
 		return
 	}
-	s.choice[p] = -1
-	s.productRec(opts, kind, newCost, p+1, any)
+	if idle || len(opts[p]) == 0 {
+		s.choice[p] = -1
+		s.productRec(opts, kind, newCost, p+1, idle, any)
+	}
 	for _, v := range opts[p] {
 		s.choice[p] = v
-		s.productRec(opts, kind, newCost, p+1, true)
+		s.productRec(opts, kind, newCost, p+1, idle, true)
 	}
 	s.choice[p] = -1
 }

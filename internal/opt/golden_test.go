@@ -57,14 +57,14 @@ func TestGoldenStates(t *testing.T) {
 		pruned int
 	}{
 		{"grid3x3-k1/default", grid3x3, def, 9, 14, 1},
-		{"grid3x3-k2/default", grid3x3k2, def, 11, 54_778, 134_097},
-		{"grid3x3-k2/async", grid3x3k2, async, 11, 54_778, 134_097},
-		{"grid2x3-k2/default", grid2x3, def, 6, 116, 171},
-		{"grid2x3-k2/floor", grid2x3, floorCfg, 6, 413, 0},
-		{"grid2x3-k2/io", grid2x3, ioCfg, 6, 288, 0},
-		{"grid2x3-k2/max", grid2x3, maxCfg, 6, 288, 0},
-		{"grid2x3-k2/async", grid2x3, async, 6, 116, 171},
-		{"grid2x3-k2/witness", grid2x3, witness, 6, 498, 0},
+		{"grid3x3-k2/default", grid3x3k2, def, 11, 54_061, 61_960},
+		{"grid3x3-k2/async", grid3x3k2, async, 11, 54_061, 61_960},
+		{"grid2x3-k2/default", grid2x3, def, 6, 134, 112},
+		{"grid2x3-k2/floor", grid2x3, floorCfg, 6, 412, 0},
+		{"grid2x3-k2/io", grid2x3, ioCfg, 6, 316, 0},
+		{"grid2x3-k2/max", grid2x3, maxCfg, 6, 316, 0},
+		{"grid2x3-k2/async", grid2x3, async, 6, 134, 112},
+		{"grid2x3-k2/witness", grid2x3, witness, 6, 575, 0},
 		{"zipper2x3-k1-g5/default", zipper, def, 9, 45, 22},
 		{"zipper2x3-k1-g5/floor", zipper, floorCfg, 9, 207, 0},
 		{"zipper2x3-k1-g5/io", zipper, ioCfg, 9, 104, 0},

@@ -12,9 +12,10 @@ import (
 )
 
 // Tests of the engine across worker counts: ModeDeterministic's whole
-// Result is the same at every Workers setting, oracle equivalence holds
-// at each setting, and so does the anytime contract, the incumbent-less
-// LowerBound regression included.
+// Result is the same at every Workers setting, so the tests of one
+// contract (oracle equivalence, the witness, the incumbent-less
+// LowerBound regression, cancellation) solve once; async_test.go runs
+// the sharded sweeps.
 
 // workerSweep is the worker-count grid the tests run: the inline path,
 // two even splits, and a prime that exercises uneven shard ownership
@@ -73,66 +74,62 @@ func TestExactWorkersMatchSequentialZoo(t *testing.T) {
 	}
 }
 
-// TestExactWorkersMatchOracleZoo runs table vs map-backed oracle at
-// every worker setting: the two implementations perform the identical
-// operation sequence, so every Result field (Pruned included) must
-// match byte-for-byte.
+// TestExactWorkersMatchOracleZoo runs table vs map-backed oracle: the
+// two implementations perform the identical operation sequence, so every
+// Result field (Pruned included) must match byte-for-byte. One solve per
+// case suffices, since ModeDeterministic's Result is the same at every
+// Workers setting (TestExactWorkersMatchSequentialZoo).
 func TestExactWorkersMatchOracleZoo(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		for _, w := range workerSweep {
-			cfg := DefaultConfig(budget)
-			cfg.Workers = w
-			got, err := ExactWith(ctx, in, cfg)
-			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", c.name, w, err)
-			}
-			want, err := exactOracle(in, cfg)
-			if err != nil {
-				t.Fatalf("%s: workers=%d oracle: %v", c.name, w, err)
-			}
-			if got.Cost != want.Cost || got.States != want.States ||
-				got.Pruned != want.Pruned || got.Incumbent != want.Incumbent ||
-				got.LowerBound != want.LowerBound || got.Status != want.Status {
-				t.Errorf("%s: workers=%d table (cost %d states %d pruned %d) ≠ oracle (cost %d states %d pruned %d)",
-					c.name, w, got.Cost, got.States, got.Pruned, want.Cost, want.States, want.Pruned)
-			}
+		cfg := DefaultConfig(budget)
+		got, err := ExactWith(ctx, in, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := exactOracle(in, cfg)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", c.name, err)
+		}
+		if got.Cost != want.Cost || got.States != want.States ||
+			got.Pruned != want.Pruned || got.Incumbent != want.Incumbent ||
+			got.LowerBound != want.LowerBound || got.Status != want.Status {
+			t.Errorf("%s: table (cost %d states %d pruned %d) ≠ oracle (cost %d states %d pruned %d)",
+				c.name, got.Cost, got.States, got.Pruned, want.Cost, want.States, want.Pruned)
 		}
 	}
 }
 
-// TestExactWorkersWitness checks the witness contract at every worker
-// setting: the strategy must replay to exactly the optimal cost.
+// TestExactWorkersWitness checks the witness contract: the strategy must
+// replay to exactly the optimal cost, which equals the value solve's.
+// TestAsyncWitnessReplays runs the same check sharded.
 func TestExactWorkersWitness(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		var optCost int64 = -1
-		for _, w := range workerSweep {
-			cfg := DefaultConfig(budget)
-			cfg.Witness = true
-			cfg.Workers = w
-			res, err := ExactWith(ctx, in, cfg)
-			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", c.name, w, err)
-			}
-			if res.Strategy == nil {
-				t.Fatalf("%s: workers=%d: no strategy", c.name, w)
-			}
-			rep, err := pebble.Replay(in, res.Strategy)
-			if err != nil {
-				t.Fatalf("%s: workers=%d: replay: %v", c.name, w, err)
-			}
-			if rep.Cost != res.Cost {
-				t.Errorf("%s: workers=%d: strategy replays to %d, result says %d",
-					c.name, w, rep.Cost, res.Cost)
-			}
-			if optCost < 0 {
-				optCost = res.Cost
-			} else if res.Cost != optCost {
-				t.Errorf("%s: workers=%d: cost %d ≠ workers=1 cost %d", c.name, w, res.Cost, optCost)
-			}
+		value, err := exactSeq(in, budget)
+		if err != nil {
+			t.Fatalf("%s: value solve: %v", c.name, err)
+		}
+		cfg := DefaultConfig(budget)
+		cfg.Witness = true
+		res, err := ExactWith(ctx, in, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Strategy == nil {
+			t.Fatalf("%s: no strategy", c.name)
+		}
+		rep, err := pebble.Replay(in, res.Strategy)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", c.name, err)
+		}
+		if rep.Cost != res.Cost {
+			t.Errorf("%s: strategy replays to %d, result says %d", c.name, rep.Cost, res.Cost)
+		}
+		if res.Cost != value.Cost {
+			t.Errorf("%s: witness cost %d ≠ value solve cost %d", c.name, res.Cost, value.Cost)
 		}
 	}
 }
@@ -166,31 +163,27 @@ func TestExactWorkersWitnessStable(t *testing.T) {
 	}
 }
 
-// TestExactPartialLowerBoundRegression is the ISSUE 5 bugfix test: a
-// budget=1 stop sees no feasible pebbling, so Incumbent is -1 — and
-// LowerBound must still report the non-negative frontier bound instead
-// of being clamped toward the sentinel. Checked at every worker count.
+// TestExactPartialLowerBoundRegression: a budget=1 stop sees no
+// feasible pebbling, so Incumbent is -1 — and LowerBound must still
+// report the non-negative frontier bound instead of being clamped toward
+// the sentinel. TestAsyncPartialBudgetBracket checks it sharded.
 func TestExactPartialLowerBoundRegression(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
-		for _, w := range workerSweep {
-			cfg := DefaultConfig(1)
-			cfg.Workers = w
-			res, err := ExactWith(ctx, in, cfg)
-			if !errors.Is(err, ErrBudget) {
-				t.Fatalf("%s: workers=%d: want ErrBudget, got %v", c.name, w, err)
-			}
-			if res.Status != StatusBudget {
-				t.Errorf("%s: workers=%d: status %v, want budget", c.name, w, res.Status)
-			}
-			if res.Incumbent != -1 {
-				t.Errorf("%s: workers=%d: budget=1 found incumbent %d, want -1", c.name, w, res.Incumbent)
-			}
-			if !(res.LowerBound >= 0 && res.LowerBound > res.Incumbent) {
-				t.Errorf("%s: workers=%d: want LowerBound >= 0 > Incumbent, got lb=%d inc=%d",
-					c.name, w, res.LowerBound, res.Incumbent)
-			}
+		res, err := ExactWith(ctx, in, DefaultConfig(1))
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("%s: want ErrBudget, got %v", c.name, err)
+		}
+		if res.Status != StatusBudget {
+			t.Errorf("%s: status %v, want budget", c.name, res.Status)
+		}
+		if res.Incumbent != -1 {
+			t.Errorf("%s: budget=1 found incumbent %d, want -1", c.name, res.Incumbent)
+		}
+		if !(res.LowerBound >= 0 && res.LowerBound > res.Incumbent) {
+			t.Errorf("%s: want LowerBound >= 0 > Incumbent, got lb=%d inc=%d",
+				c.name, res.LowerBound, res.Incumbent)
 		}
 	}
 }
@@ -239,28 +232,25 @@ func TestExactParallelAnytimeBracket(t *testing.T) {
 	}
 }
 
-// TestExactParallelCancel cancels before the search starts: every
-// worker count must come back canceled with the no-incumbent sentinel.
+// TestExactParallelCancel cancels before the search starts: the solve
+// must come back canceled with the no-incumbent sentinel.
+// TestAsyncCancel checks it sharded.
 func TestExactParallelCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	in := pebble.MustInstance(zooCases()[4].g, zooCases()[4].p)
-	for _, w := range workerSweep {
-		cfg := DefaultConfig(budget)
-		cfg.Workers = w
-		res, err := ExactWith(ctx, in, cfg)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: want context.Canceled, got %v", w, err)
-		}
-		if res.Status != StatusCanceled {
-			t.Errorf("workers=%d: status %v, want canceled", w, res.Status)
-		}
-		if res.Incumbent != -1 {
-			t.Errorf("workers=%d: incumbent %d, want -1", w, res.Incumbent)
-		}
-		if res.LowerBound < 0 {
-			t.Errorf("workers=%d: negative lower bound %d", w, res.LowerBound)
-		}
+	res, err := ExactWith(ctx, in, DefaultConfig(budget))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if res.Status != StatusCanceled {
+		t.Errorf("status %v, want canceled", res.Status)
+	}
+	if res.Incumbent != -1 {
+		t.Errorf("incumbent %d, want -1", res.Incumbent)
+	}
+	if res.LowerBound < 0 {
+		t.Errorf("negative lower bound %d", res.LowerBound)
 	}
 }
 

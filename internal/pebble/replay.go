@@ -184,14 +184,21 @@ func replay(in *Instance, s *Strategy) (*Report, *Config, error) {
 						Reason: fmt.Sprintf("node %d recomputed in one-shot mode", a.Node)}
 				}
 			}
-			for _, a := range m.Actions {
+			for ai, a := range m.Actions {
+				if computed[a.Node] {
+					// The check above saw every node uncomputed before
+					// this move, so in one-shot mode a hit here is a
+					// second processor computing the same node.
+					if in.OneShot {
+						return nil, nil, &RuleError{MoveIndex: i, ActionIndex: ai, Move: m,
+							Reason: fmt.Sprintf("node %d computed twice in one one-shot move", a.Node)}
+					}
+					rep.Recomputations++
+				}
 				if cfg.Red[a.Proc].TestAndSet(int(a.Node)) {
 					redCount[a.Proc]++
 				}
 				rep.PerProcComputed[a.Proc]++
-				if computed[a.Node] {
-					rep.Recomputations++
-				}
 				computed[a.Node] = true
 			}
 			rep.ComputeMoves++

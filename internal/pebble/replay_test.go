@@ -304,6 +304,23 @@ func TestOneShotRejectsRecompute(t *testing.T) {
 	if rep.Recomputations != 1 {
 		t.Errorf("Recomputations = %d, want 1", rep.Recomputations)
 	}
+
+	// One move computing the same node on two processors computes it
+	// twice: illegal in one-shot mode, a recomputation otherwise.
+	twice := strategyOf(Compute(At(0, 0), At(1, 0)), Compute(At(0, 1)))
+	oneShot := MPP(2, 2, 1)
+	oneShot.OneShot = true
+	_, err = Replay(chainInstance(t, 2, oneShot), twice)
+	if err == nil || !strings.Contains(err.Error(), "node 0 computed twice in one one-shot move") {
+		t.Fatalf("one-shot double compute in one move not rejected: %v", err)
+	}
+	rep, err = Replay(chainInstance(t, 2, MPP(2, 2, 1)), twice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Recomputations != 1 {
+		t.Errorf("double compute in one move: Recomputations = %d, want 1", rep.Recomputations)
+	}
 }
 
 func TestCostAccounting(t *testing.T) {

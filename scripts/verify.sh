@@ -2,11 +2,12 @@
 # Tier-1 verification gate: formatting, vet, lint, build, the full test
 # suite (including the golden states-expanded table in internal/opt),
 # a short fuzz of the strategy reader, the race suites, the scheduler
-# scale and allocation smoke and the server end-to-end smoke. Run
+# scale and allocation smoke, the exhaustive small-DAG sweep of the
+# exact search and the server end-to-end smoke. Run
 # before every commit; CI runs exactly this.
 # Timing lives in the repository benchmark, bench/run.sh.
 #
-#   scripts/verify.sh           # full suite (~2 min; hardness q=4 dominates)
+#   scripts/verify.sh           # full suite (~7 min on 2 vCPUs; the race suites and the opt sweep dominate)
 #   SHORT=1 scripts/verify.sh   # -short: skips the slow q=4 hardness search
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -88,6 +89,14 @@ echo "== sched smoke (10^5-node instances) =="
 # -race. Seconds of wall time, gated behind SCHED_SMOKE so the plain
 # test suite stays fast.
 SCHED_SMOKE=1 go test -run TestSchedSmoke -count=1 ./internal/sched/
+
+echo "== opt sweep (every DAG up to 5 nodes) =="
+# The exhaustive gate on the exact search: every DAG up to five nodes
+# against an independent full-rule reference (the plain suite above
+# stops at four), and the per-edge heuristic checks on the four-node
+# state graphs at k <= 2. About two minutes of wall time, gated behind
+# OPT_SWEEP and run here, outside -race.
+OPT_SWEEP=1 go test -run 'TestExactMatchesReference|TestHeuristicFullGraph' -count=1 ./internal/opt/
 
 echo "== server e2e smoke =="
 # Exec-level proof of the solver-as-a-service contract: build the real
