@@ -50,7 +50,10 @@ import (
 // States, Pruned, brackets and witnesses differ from version 1's.
 // Version 3: the search generates only maximal parallel moves, which
 // changes States, Pruned, budget-stop brackets and witnesses.
-const keyVersion = 3
+// Version 4: a witness solve runs the value solve's canonicalized,
+// dominance-pruned search, which changes witness Results' States,
+// Pruned and Strategy; Dominance now keys witness entries apart.
+const keyVersion = 4
 
 // Key domain tags, so a complete-result key and a partial-bracket key of
 // the same instance can never collide.
@@ -97,13 +100,8 @@ type SolverConfig struct {
 }
 
 // Normalize collapses semantically identical configurations onto one
-// key: the solver ignores Dominance in witness mode (shade
-// canonicalization is off there, making the subset test unsound), and
-// every non-positive budget means "unbounded".
+// key: every non-positive budget means "unbounded".
 func (sc SolverConfig) Normalize() SolverConfig {
-	if sc.Witness {
-		sc.Dominance = false
-	}
 	if sc.MaxStates < 0 {
 		sc.MaxStates = 0
 	}

@@ -134,8 +134,7 @@ func TestKeySensitivityZoo(t *testing.T) {
 	for _, tc := range fpZoo(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Dominance and Witness start false so each flip below is a
-			// real semantic change (Normalize erases Dominance under
-			// Witness — covered separately in TestNormalizeCollapses).
+			// real semantic change.
 			sc := SolverConfig{Heuristic: 2, MaxStates: 1000}
 			base := KeyOf(tc.in, sc)
 
@@ -183,6 +182,14 @@ func TestKeySensitivityZoo(t *testing.T) {
 					t.Errorf("flipping SolverConfig.%s did not change the key", f.field)
 				}
 			}
+			// Dominance changes a witness solve's Result too, so it keys
+			// witness entries apart.
+			wit := SolverConfig{Heuristic: 2, Witness: true, MaxStates: 1000}
+			witDom := wit
+			witDom.Dominance = true
+			if KeyOf(tc.in, wit) == KeyOf(tc.in, witDom) {
+				t.Errorf("flipping SolverConfig.Dominance under Witness did not change the key")
+			}
 		})
 	}
 }
@@ -191,13 +198,6 @@ func TestKeySensitivityZoo(t *testing.T) {
 // must share a key, so equivalent requests hit each other's entries.
 func TestNormalizeCollapses(t *testing.T) {
 	in := pebble.MustInstance(gen.Chain(5), pebble.MPP(1, 2, 3))
-
-	// The engine ignores Dominance in witness mode.
-	a := KeyOf(in, SolverConfig{Witness: true, Dominance: true, MaxStates: 100})
-	b := KeyOf(in, SolverConfig{Witness: true, Dominance: false, MaxStates: 100})
-	if a != b {
-		t.Errorf("witness-mode keys differ on the ignored Dominance bit: %v vs %v", a, b)
-	}
 
 	// Every non-positive budget means unbounded.
 	if KeyOf(in, SolverConfig{MaxStates: -5}) != KeyOf(in, SolverConfig{MaxStates: 0}) {
@@ -231,10 +231,10 @@ func TestPartialKeyDomain(t *testing.T) {
 func TestKeyGolden(t *testing.T) {
 	in := pebble.MustInstance(gen.Grid2D(2, 3), pebble.MPP(2, 3, 2))
 	sc := SolverConfig{Heuristic: 2, Dominance: true, MaxStates: 1000}
-	if got, want := KeyOf(in, sc).String(), "8ae888a9f9840f9c64dac28dd1e87ff5"; got != want {
+	if got, want := KeyOf(in, sc).String(), "0c2fe9f6aa7a6313be0d0edfb6b6411c"; got != want {
 		t.Errorf("KeyOf = %s, want %s", got, want)
 	}
-	if got, want := PartialKeyOf(in, sc).String(), "79670a1629ec45a478db68700190d6e9"; got != want {
+	if got, want := PartialKeyOf(in, sc).String(), "468bc5c879bc5f7d10d51300515d1361"; got != want {
 		t.Errorf("PartialKeyOf = %s, want %s", got, want)
 	}
 }

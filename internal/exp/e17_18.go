@@ -119,7 +119,7 @@ func E18SurplusInapprox(ctx context.Context, cfg Config) (*Table, error) {
 			// A k=1 MPP pebbling has surplus 0 iff it computes every node
 			// exactly once with zero I/O — i.e. iff a zero-I/O one-shot
 			// schedule exists.
-			zres, zerr := opt.ZeroIOBig(ctx, red.Graph, red.R, cfg.states(30_000_000))
+			zres, zerr := opt.ZeroIO(ctx, red.Graph, red.R, cfg.states(30_000_000))
 			res, ok, err := zeroIOIn(t, fmt.Sprintf("E18 %s/%s", pair.name, side.tag), zres, zerr)
 			if err != nil {
 				return nil, err

@@ -438,7 +438,7 @@ func raiseLowerBound(res *opt.Result, in *pebble.Instance) {
 }
 
 // zeroIOIn is exactIn for the zero-I/O decision procedure: pass it the
-// (result, error) pair of an opt.ZeroIO/ZeroIOBig call. An early
+// (result, error) pair of an opt.ZeroIO call. An early
 // stop marks the table partial and yields ok=false with the indeterminate
 // result; other errors propagate.
 func zeroIOIn(t *Table, stage string, res *opt.ZeroIOResult, err error) (*opt.ZeroIOResult, bool, error) {

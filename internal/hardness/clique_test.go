@@ -153,7 +153,7 @@ func TestCliqueEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := opt.ZeroIOBig(context.Background(), red.Graph, red.R, 40_000_000)
+		res, err := opt.ZeroIO(context.Background(), red.Graph, red.R, 40_000_000)
 		if err != nil {
 			t.Fatalf("%s: search: %v", name, err)
 		}

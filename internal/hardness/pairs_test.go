@@ -26,7 +26,7 @@ func TestMatchedPairsSeparate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := opt.ZeroIOBig(context.Background(), red.Graph, red.R, 30_000_000)
+		res, err := opt.ZeroIO(context.Background(), red.Graph, red.R, 30_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -61,7 +61,7 @@ func TestQ4Pair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := opt.ZeroIOBig(context.Background(), red.Graph, red.R, 80_000_000)
+		res, err := opt.ZeroIO(context.Background(), red.Graph, red.R, 80_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -30,7 +30,7 @@ func CostOnly(ctx context.Context, in *pebble.Instance, sc *opt.SolveCache) int6
 
 // FeasibleOnly trusts Feasible without checking the Verdict.
 func FeasibleOnly(ctx context.Context, g *dag.Graph) bool {
-	res, _ := opt.ZeroIOBig(ctx, g, 2, 10) // want "verdictcheck: Status/Verdict of ZeroIOBig result res never consulted"
+	res, _ := opt.ZeroIO(ctx, g, 2, 10) // want "verdictcheck: Status/Verdict of ZeroIO result res never consulted"
 	return res.Feasible
 }
 

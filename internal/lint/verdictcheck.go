@@ -12,7 +12,7 @@ import (
 // result to something that does) before trusting Cost or Feasible.
 //
 // For every call to a solver entry point (opt.ExactWith, opt.SolveCached,
-// opt.ZeroIO, opt.ZeroIOBig, and their facade re-exports) the analyzer
+// opt.ZeroIO, and their facade re-exports) the analyzer
 // requires that the returned result is (a) not discarded — not an
 // expression statement, not assigned to _ — and (b) consulted: at least
 // one use of the result variable reads .Status or .Verdict, checks the
@@ -33,8 +33,7 @@ var VerdictCheck = &Analyzer{
 // keyed by defining package path.
 var verdictFuncs = map[string]map[string]bool{
 	"repro/internal/opt": {
-		"ExactWith": true, "SolveCached": true,
-		"ZeroIO": true, "ZeroIOBig": true,
+		"ExactWith": true, "SolveCached": true, "ZeroIO": true,
 	},
 	"repro": {
 		"ExactWith": true, "SolveCached": true, "ZeroIO": true,

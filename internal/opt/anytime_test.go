@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/pebble"
@@ -124,6 +125,32 @@ func TestExactAnytimeCancel(t *testing.T) {
 	}
 }
 
+// TestExactDeadlineInsideExpansion: one expansion with 24 empty shades
+// enumerates 2^24 maximal compute selections (OPT is 2, from two chains
+// computed in parallel), which runs for many seconds. A 100 ms deadline
+// must stop the solve inside that expansion, well within a second, with
+// a sound bracket.
+func TestExactDeadlineInsideExpansion(t *testing.T) {
+	in := pebble.MustInstance(gen.IndependentChains(2, 2), pebble.MPP(24, 3, 1))
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := ExactWith(ctx, in, seqConfig(0))
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("deadline of 100ms returned after %v", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error %v does not wrap context.DeadlineExceeded", err)
+	}
+	if res == nil || res.Status != StatusCanceled {
+		t.Fatalf("result %+v, want StatusCanceled", res)
+	}
+	if res.LowerBound < 0 || res.LowerBound > 2 {
+		t.Errorf("LowerBound %d outside [0, OPT=2]", res.LowerBound)
+	}
+	incumbentOK(t, "k=24 deadline", res, 2)
+}
+
 // TestExactOraclePartialEquivalence locks the anytime trajectory itself
 // to the oracle: an early budget stop must leave both state tables at a
 // byte-identical (Cost, States, Incumbent, LowerBound, Status).
@@ -188,11 +215,16 @@ func TestZeroIOAnytime(t *testing.T) {
 	}
 }
 
+// TestZeroIOBigAnytime holds ZeroIO's budget and cancel stops on a DAG
+// whose computed-set spans two memo words (pyramid 11: 66 nodes).
 func TestZeroIOBigAnytime(t *testing.T) {
-	g := gen.Pyramid(4)
-	const r = 5
+	g := gen.Pyramid(11)
+	if g.N() <= 64 {
+		t.Fatalf("pyramid11 has %d nodes, want more than one word", g.N())
+	}
+	const r = 12
 
-	res, err := ZeroIOBig(context.Background(), g, r, 1)
+	res, err := ZeroIO(context.Background(), g, r, 1)
 	if !errors.Is(err, ErrBudget) || !IsPartial(err) {
 		t.Fatalf("budget 1: error %v does not wrap ErrBudget", err)
 	}
@@ -202,34 +234,20 @@ func TestZeroIOBigAnytime(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = ZeroIOBig(ctx, g, r, budget)
+	res, err = ZeroIO(ctx, g, r, budget)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: error %v does not wrap context.Canceled", err)
 	}
 	if res == nil || res.Verdict != VerdictIndeterminate || res.Status != StatusCanceled {
 		t.Fatalf("cancelled ctx: result %+v, want indeterminate/StatusCanceled", res)
 	}
-
-	// Small-mask and bitset variants agree on the decision and on the
-	// explored-state count for an in-capacity DAG.
-	small, err := ZeroIO(context.Background(), g, r, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := ZeroIOBig(context.Background(), g, r, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Feasible != big.Feasible {
-		t.Errorf("variants disagree: word %v, bitset %v", small.Feasible, big.Feasible)
-	}
 }
 
-// TestZeroIOWordBoundary sweeps the single-word capacity edge: n = 61
-// and 62 stay on the uint64-mask fast path, n = 63 and 64 must silently
-// dispatch to the bitset variant and still decide correctly.
+// TestZeroIOWordBoundary sweeps chains across the 64-bit word edge of
+// the computed-set bitset and its memo key: n = 61 to 64 fill one word,
+// n = 65 spills into a second.
 func TestZeroIOWordBoundary(t *testing.T) {
-	for _, n := range []int{61, 62, 63, 64} {
+	for _, n := range []int{61, 62, 63, 64, 65} {
 		g := gen.Chain(n)
 		// r = 2 suffices for a chain (live set is the frontier node plus
 		// its successor); r = 1 cannot even hold an edge.
@@ -258,18 +276,6 @@ func TestZeroIOWordBoundary(t *testing.T) {
 		}
 		if res2.Feasible || res2.Verdict != VerdictInfeasible {
 			t.Errorf("chain%d r=1: %+v, want infeasible", n, res2)
-		}
-		// Above capacity the dispatch target is ZeroIOBig; the two entry
-		// points must agree exactly.
-		if n > zeroIOWordCap {
-			big, err := ZeroIOBig(context.Background(), g, 2, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if big.Feasible != res.Feasible || big.States != res.States || !sameOrder(big.Order, res.Order) {
-				t.Errorf("chain%d: ZeroIO dispatch (states %d) ≠ ZeroIOBig (states %d)",
-					n, res.States, big.States)
-			}
 		}
 	}
 }

@@ -132,9 +132,9 @@ const (
 
 // asyncExpand processes one popped queue entry: skip it if stale,
 // already expanded or a goal; otherwise charge the budget and expand.
-// When the charge is refused (budget exhausted or context canceled) the
-// entry is pushed back so the frontier — and with it the anytime
-// LowerBound — stays complete.
+// When the charge is refused (budget exhausted or context canceled), or
+// ctx stops the expansion part-way, the entry is pushed back so the
+// frontier — and with it the anytime LowerBound — stays complete.
 //
 //mpp:hotpath
 func (s *solver) asyncExpand(ent bqEntry, f int64) expandOutcome {
@@ -147,8 +147,8 @@ func (s *solver) asyncExpand(ent bqEntry, f int64) expandOutcome {
 		// incumbent, and expanding one could only find costlier states.
 		return expandSkipped
 	}
-	s.pops++
-	if s.pops&ctxCheckMask == 0 && s.ctx.Err() != nil {
+	s.ticks++
+	if s.ticks&ctxCheckMask == 0 && s.ctx.Err() != nil {
 		s.eng.requestStop(StatusCanceled)
 		s.bq.push(f, ent.idx, ent.g)
 		return expandStopped
@@ -158,14 +158,23 @@ func (s *solver) asyncExpand(ent bqEntry, f int64) expandOutcome {
 		return expandStopped
 	}
 	s.expandedMark[ent.idx] = true
-	if s.useDom {
+	if s.cfg.Dominance {
 		// Settle at every expansion, at its g: a reopened state's
 		// cheaper record replaces its older one in the index.
 		k := s.in.K
 		s.dom.add(s.cur[k], s.cur[k+1], ent.g, s.cur[:k])
 	}
 	s.curIdx = ent.idx
-	s.expand(ent.g)
+	if !s.expand(ent.g) {
+		// ctx stopped the expansion part-way. The entry goes back
+		// unexpanded and uncharged, so the frontier still covers the
+		// successors not yet generated.
+		s.expandedMark[ent.idx] = false
+		atomic.AddInt64(&s.eng.expandedTotal, -1)
+		s.eng.requestStop(StatusCanceled)
+		s.bq.push(f, ent.idx, ent.g)
+		return expandStopped
+	}
 	return expandOK
 }
 
@@ -275,7 +284,7 @@ func (s *solver) asyncAccept(b *batch) {
 	for i := 0; i < b.n; i++ {
 		var from stateRef
 		var mv pebble.Move
-		if s.witness {
+		if s.cfg.Witness {
 			from, mv = b.froms[i], b.moves[i]
 		}
 		s.applyRemote(b.words[i*wpk:(i+1)*wpk], b.costs[i], from, mv)

@@ -12,10 +12,11 @@ import (
 // off the fixed budgets TestExactWorkersMatchSequentialZoo runs, and
 // pins ModeDeterministic's partial-result contract there: at each
 // sampled MaxStates, Workers=4 must reproduce the Workers=1 Result
-// exactly, and a budget stop must have expanded exactly MaxStates
-// states. A spread of ~8 sample points per case — the earliest
-// expansions, mid-search and just shy of completion — keeps the sweep
-// to a few seconds.
+// exactly, a budget stop must have expanded exactly MaxStates states,
+// and a witness solve must return the same Result plus a Strategy that
+// replays to its incumbent. A spread of ~8 sample points per case — the
+// earliest expansions, mid-search and just shy of completion — keeps
+// the sweep to a few seconds.
 func TestBudgetSweepDeterminism(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range zooCases() {
@@ -47,6 +48,27 @@ func TestBudgetSweepDeterminism(t *testing.T) {
 			if w1.Status == StatusBudget && w1.States != max {
 				t.Errorf("%s budget=%d: budget stop after %d states, want exactly %d",
 					c.name, max, w1.States, max)
+			}
+			wcfg := cfg1
+			wcfg.Witness = true
+			wit, errw := ExactWith(ctx, in, wcfg)
+			if (errw == nil) != (err1 == nil) || !sameButStrategy(wit, w1) {
+				t.Errorf("%s budget=%d: witness Result %+v (err %v) ≠ value Result %+v (err %v)",
+					c.name, max, *wit, errw, *w1, err1)
+				continue
+			}
+			switch {
+			case wit.Incumbent < 0:
+				if wit.Strategy != nil {
+					t.Errorf("%s budget=%d: witness strategy without an incumbent", c.name, max)
+				}
+			case wit.Strategy == nil:
+				t.Errorf("%s budget=%d: incumbent %d but no witness strategy", c.name, max, wit.Incumbent)
+			default:
+				if rep, rerr := pebble.Replay(in, wit.Strategy); rerr != nil || rep.Cost != wit.Incumbent {
+					t.Errorf("%s budget=%d: witness replays to %v (err %v), incumbent %d",
+						c.name, max, rep, rerr, wit.Incumbent)
+				}
 			}
 		}
 	}

@@ -16,11 +16,12 @@ package opt
 // all be pruned against their own parent, severing the memory-freeing
 // moves the search needs. See DESIGN.md §6 for the full soundness sketch.
 //
-// Pruning is only enabled in non-witness mode, alongside shade
-// canonicalization (a pruned state has no parent edge, and the subset
-// test per canonical position is what makes the processor matching
-// sound). "Settled" means expanded: solver.asyncExpand adds each state's
-// record at the g it expands with (async.go).
+// Pruning runs alongside shade canonicalization, which every search
+// does: the subset test per canonical position is what makes the
+// processor matching sound. A witness solve prunes the same candidates;
+// a pruned state gets no parent edge, and the witness runs through its
+// dominator instead. "Settled" means expanded: solver.asyncExpand adds
+// each state's record at the g it expands with (async.go).
 //
 // Layout. Settled states are indexed by a (blue, computed) hash in an
 // open-addressing side table. Each occupied slot holds its two key

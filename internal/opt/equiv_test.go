@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -57,8 +58,8 @@ func TestExactTableMatchesOracleZoo(t *testing.T) {
 			t.Errorf("%s: table (cost %d, states %d) ≠ oracle (cost %d, states %d)",
 				c.name, got.Cost, got.States, want.Cost, want.States)
 		}
-		// Witness mode runs without shade canonicalization — a different
-		// state space, so it gets its own byte-identical comparison.
+		// A witness solve adds parent edges and the rebuild from them, so
+		// it gets its own table-versus-oracle comparison.
 		gw, err := witnessSeq(in, budget)
 		if err != nil {
 			t.Fatalf("%s: witness: %v", c.name, err)
@@ -127,7 +128,9 @@ func TestExactModesMatchOracleZoo(t *testing.T) {
 // TestExactModesAgreeOnOptimum asserts that every heuristic mode, with
 // and without dominance pruning, proves the same optimum on the zoo —
 // and that witness runs per mode replay to that same cost. States
-// expanded may (and should) differ; the optimum may not.
+// expanded may (and should) differ across modes; the optimum may not.
+// Within a mode the witness is output only: the witness Result, its
+// Strategy set aside, equals the value Result field for field.
 func TestExactModesAgreeOnOptimum(t *testing.T) {
 	for _, c := range zooCases() {
 		in := pebble.MustInstance(c.g, c.p)
@@ -163,8 +166,20 @@ func TestExactModesAgreeOnOptimum(t *testing.T) {
 			if rep.Cost != ref.Cost {
 				t.Errorf("%s/%s: witness replays to %d, optimum is %d", c.name, cfg.Heuristic, rep.Cost, ref.Cost)
 			}
+			if !sameButStrategy(wres, res) {
+				t.Errorf("%s/%s (dom %v): witness Result %+v ≠ value Result %+v",
+					c.name, cfg.Heuristic, cfg.Dominance, *wres, *res)
+			}
 		}
 	}
+}
+
+// sameButStrategy reports whether a witness Result equals a value Result
+// in every field but Strategy.
+func sameButStrategy(witness, value *Result) bool {
+	w := *witness
+	w.Strategy = value.Strategy
+	return reflect.DeepEqual(&w, value)
 }
 
 func TestExactTableMatchesOracleQuick(t *testing.T) {
@@ -208,13 +223,13 @@ func sameOrder(a, b []dag.NodeID) bool {
 	return true
 }
 
-func checkZeroIOBigEquiv(t *testing.T, name string, g *dag.Graph, r int, max int) {
+func checkZeroIOEquiv(t *testing.T, name string, g *dag.Graph, r int, max int) {
 	t.Helper()
-	got, err := ZeroIOBig(context.Background(), g, r, max)
+	got, err := ZeroIO(context.Background(), g, r, max)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	want, err := zeroIOBigOracle(g, r, max)
+	want, err := zeroIOOracle(g, r, max)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
@@ -224,6 +239,9 @@ func checkZeroIOBigEquiv(t *testing.T, name string, g *dag.Graph, r int, max int
 	}
 }
 
+// TestZeroIOBigMatchesOracleZoo locks ZeroIO's bitset search, its memo
+// keyed on the computed-set's words, to the map-backed oracle memo on
+// small DAGs.
 func TestZeroIOBigMatchesOracleZoo(t *testing.T) {
 	cases := []struct {
 		name string
@@ -239,13 +257,13 @@ func TestZeroIOBigMatchesOracleZoo(t *testing.T) {
 		{"pyramid4-r5", gen.Pyramid(4), 5},
 	}
 	for _, c := range cases {
-		checkZeroIOBigEquiv(t, c.name, c.g, c.r, budget)
+		checkZeroIOEquiv(t, c.name, c.g, c.r, budget)
 	}
 }
 
 // TestZeroIOBigMatchesOracleCliquePairs runs the equivalence on the E12
-// matched clique pairs — the Theorem 2 reduction instances whose >62-node
-// DAGs and multi-word memo keys exercise the table the hardest.
+// matched clique pairs — the Theorem 2 reduction instances (47 and 56
+// nodes), whose exhaustive refutations exercise the memo the hardest.
 func TestZeroIOBigMatchesOracleCliquePairs(t *testing.T) {
 	pairs := []struct {
 		name  string
@@ -263,14 +281,14 @@ func TestZeroIOBigMatchesOracleCliquePairs(t *testing.T) {
 			t.Fatalf("%s: %v", pc.name, err)
 		}
 		wantFeasible := pc.graph.HasClique(q)
-		got, err := ZeroIOBig(context.Background(), red.Graph, red.R, 8_000_000)
+		got, err := ZeroIO(context.Background(), red.Graph, red.R, 8_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", pc.name, err)
 		}
 		if got.Feasible != wantFeasible {
 			t.Errorf("%s: feasible %v, want %v", pc.name, got.Feasible, wantFeasible)
 		}
-		checkZeroIOBigEquiv(t, pc.name, red.Graph, red.R, 8_000_000)
+		checkZeroIOEquiv(t, pc.name, red.Graph, red.R, 8_000_000)
 	}
 }
 

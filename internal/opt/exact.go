@@ -9,8 +9,8 @@
 //   - ZeroIO: a specialized decision procedure for "does a one-shot SPP
 //     pebbling of I/O cost 0 exist?" — the question made NP-hard by
 //     Theorem 2. It exploits that cost-0 one-shot pebblings are fully
-//     described by a compute permutation with forced deletions.
-//     ZeroIOBig is the bitset decider for DAGs of any size.
+//     described by a compute permutation with forced deletions, and
+//     decides it for DAGs of any size.
 //
 // The search core is allocation-free on the hot path: states are packed
 // uint64 words stored directly in an open-addressing hashtab.Table (the
@@ -23,9 +23,11 @@
 // ModeDeterministic, the default, it runs on one shard: a sequential A*
 // whose Result — witness included — is a pure function of the instance
 // and the result-affecting config, unless a deadline or cancel stops
-// it. ModeAsync hash-shards the state space
-// across Config.Workers goroutines, HDA*-style: the optimum stays exact,
-// but expansion counts and traces become timing-dependent.
+// it. A witness request runs that same search and only adds parent
+// edges, from which the move sequence is rebuilt at the end. ModeAsync
+// hash-shards the state space across Config.Workers goroutines,
+// HDA*-style: the optimum stays exact, but expansion counts and traces
+// become timing-dependent.
 //
 // Solver arenas (table, queue, dominance index, scratch) are recycled
 // through a package-level pool across searches (see pool.go), so
@@ -113,11 +115,13 @@ type Config struct {
 	// Heuristic selects the admissible bound stack (zero value:
 	// HeuristicMax, the strongest).
 	Heuristic HeuristicMode
-	// Dominance enables pruning of strictly dominated candidates. It is
-	// ignored in witness mode, where shade canonicalization is off and
-	// the per-position subset test would be unsound.
+	// Dominance enables pruning of strictly dominated candidates (and,
+	// with it, the lazy-deletion normal form; see dominate.go).
 	Dominance bool
-	// Witness requests reconstruction of one optimal move sequence.
+	// Witness requests reconstruction of one optimal move sequence. It
+	// is an output switch only: the search is the one the other fields
+	// select, and every Result field but Strategy is the same as
+	// without it.
 	Witness bool
 	// Workers is the number of shards a ModeAsync search is hash-sharded
 	// across: 0 means GOMAXPROCS; 1 runs the engine inline with no
@@ -144,12 +148,13 @@ func DefaultConfig(maxStates int) Config {
 // A* search over configurations under cfg. With DefaultConfig that is
 // the max of the compute-floor and I/O-aware admissible heuristics (see
 // heuristic.go) plus dominance pruning (see dominate.go); processor
-// shades are canonicalized unless cfg.Witness asks for a move sequence,
-// so symmetric configurations collapse. cfg.MaxStates bounds the number
-// of states expanded; exceeding it returns a partial Result plus an
-// error wrapping ErrBudget. The search polls ctx and likewise stops with
-// a partial Result and an error wrapping ctx.Err() when it is canceled
-// or its deadline passes (see Result for the anytime contract).
+// shades are always canonicalized, so symmetric configurations collapse,
+// and cfg.Witness only adds the rebuilt move sequence. cfg.MaxStates
+// bounds the number of states expanded; exceeding it returns a partial
+// Result plus an error wrapping ErrBudget. The search polls ctx, inside
+// an expansion too, and likewise stops with a partial Result and an
+// error wrapping ctx.Err() when it is canceled or its deadline passes
+// (see Result for the anytime contract).
 //
 // ExactWith handles every Params combination: multiprocessor parallel
 // moves, zero compute costs (classic SPP, where Dijkstra's
@@ -196,8 +201,10 @@ type stateRef struct {
 	idx   int32
 }
 
-// parentEdge records how a state was first reached at its best cost, for
-// witness reconstruction. The parent may live on a different shard.
+// parentEdge records how a state was reached at its best cost, for
+// witness reconstruction. The parent may live on a different shard. The
+// move names shade positions in the parent's canonical red words, not
+// processors; reconstruct maps them back.
 type parentEdge struct {
 	from stateRef
 	move pebble.Move
@@ -209,12 +216,10 @@ type parentEdge struct {
 // candidate batches (see parallel.go) with other shards. With one
 // worker there is exactly one solver holding the whole space.
 type solver struct {
-	in      *pebble.Instance
-	ctx     context.Context
-	n       int
-	cfg     Config
-	witness bool // == cfg.Witness, hoisted for the hot path
-	useDom  bool // dominance pruning active (cfg.Dominance && !witness)
+	in  *pebble.Instance
+	ctx context.Context
+	n   int
+	cfg Config
 
 	eng   *engine // shared search-wide state (incumbent, budget, routing)
 	shard int32   // this solver's shard id
@@ -228,7 +233,7 @@ type solver struct {
 
 	tab    hashtab.Index // state identity → dense index (this shard only)
 	dist   []int64       // best g-cost per state index
-	parent []parentEdge  // per state index; witness mode only
+	parent []parentEdge  // per state index; witness solves only
 	bq     bucketQueue
 
 	// expandedMark marks state indices this shard has expanded — the
@@ -240,7 +245,7 @@ type solver struct {
 	domVisits    int // dominance records visited by dominated (tests pin it)
 	pruned       int
 	reopened     int // expanded states reopened by a better g
-	pops         int // queue entries examined, for ctx-poll throttling
+	ticks        int // expansions and product candidates, for ctx-poll throttling
 
 	// Cross-shard routing state (W > 1 only): the outgoing batch under
 	// construction per destination shard.
@@ -316,30 +321,25 @@ func (s *solver) isGoal(w []uint64) bool {
 	return s.sinkMask&^pebbled == 0
 }
 
-// offer routes the candidate state in s.cand at the given g-cost to its
-// owning shard: applied immediately when this shard owns it, batched
-// onto the owner's inbox otherwise. The move is materialized from
-// (kind, choice) only in witness mode — lazily (only when the candidate
-// improves) on the local path; eagerly when crossing shards, since the
-// scratch choice vector cannot travel.
+// offer canonicalizes the candidate state in s.cand and routes it at
+// the given g-cost to its owning shard: applied immediately when this
+// shard owns it, batched onto the owner's inbox otherwise. Ownership
+// hashes only the (blue, computed) words, so canonicalizing first does
+// not move the candidate across shards. The move is materialized from
+// (kind, choice) only in a witness solve — lazily (only when the
+// candidate improves) on the local path; eagerly when crossing shards,
+// since the scratch choice vector cannot travel.
 //
 //mpp:hotpath
 func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
-	if !s.witness {
-		// Shade symmetry collapse is only sound when no move sequence
-		// must be reconstructed (relabeling shades would desynchronize
-		// the recorded moves' processor indices). Ownership hashes only
-		// the (blue, computed) words, so canonicalizing first does not
-		// move the candidate across shards.
-		canonicalizeRed(s.cand[:s.in.K])
-	}
+	canonicalizeRed(s.cand[:s.in.K])
 	if s.eng.nShards > 1 {
 		if dst := s.eng.ownerOf(s.cand); dst != int(s.shard) {
 			s.route(dst, cost, kind, choice)
 			return
 		}
 	}
-	if s.useDom && s.dominated(s.cand, cost) {
+	if s.cfg.Dominance && s.dominated(s.cand, cost) {
 		s.pruned++
 		return
 	}
@@ -347,7 +347,7 @@ func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 	if idx < 0 {
 		return
 	}
-	if s.witness {
+	if s.cfg.Witness {
 		s.parent[idx] = parentEdge{from: stateRef{shard: s.shard, idx: s.curIdx}, move: moveOf(kind, choice)}
 	}
 	s.enqueue(s.cand, cost, idx, fresh)
@@ -359,7 +359,7 @@ func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 //
 //mpp:hotpath
 func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.Move) {
-	if s.useDom && s.dominated(w, cost) {
+	if s.cfg.Dominance && s.dominated(w, cost) {
 		s.pruned++
 		return
 	}
@@ -367,7 +367,7 @@ func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.
 	if idx < 0 {
 		return
 	}
-	if s.witness {
+	if s.cfg.Witness {
 		s.parent[idx] = parentEdge{from: from, move: move}
 	}
 	s.enqueue(w, cost, idx, fresh)
@@ -400,7 +400,7 @@ func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
 	}
 	s.dist = append(s.dist, cost)
 	s.expandedMark = append(s.expandedMark, false)
-	if s.witness {
+	if s.cfg.Witness {
 		s.parent = append(s.parent, parentEdge{from: stateRef{idx: -1}})
 	}
 	return int32(idx), true
@@ -444,8 +444,12 @@ func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 // keep the idle choice, because computing a node early forbids
 // computing it later on another processor.
 //
+// One expansion enumerates up to ∏(options+1) selections, 2^k and more
+// when the shades are empty, so the enumeration polls ctx itself and
+// expand returns false when it stopped there, part-way.
+//
 //mpp:hotpath
-func (s *solver) expand(cost int64) {
+func (s *solver) expand(cost int64) bool {
 	k := s.in.K
 	gCost := int64(s.in.G)
 	cCost := int64(s.in.ComputeCost)
@@ -494,7 +498,7 @@ func (s *solver) expand(cost int64) {
 	// pebbles never invalidate later moves and only help the goal.
 	for p := 0; p < k; p++ {
 		reds := s.cur[p]
-		if s.useDom && popcount(reds) < s.in.R {
+		if s.cfg.Dominance && popcount(reds) < s.in.R {
 			continue
 		}
 		for reds != 0 {
@@ -508,9 +512,9 @@ func (s *solver) expand(cost int64) {
 		}
 	}
 
-	s.product(s.computeOpts, pebble.OpCompute, cost+cCost, s.in.OneShot)
-	s.product(s.readOpts, pebble.OpRead, cost+gCost, false)
-	s.product(s.writeOpts, pebble.OpWrite, cost+gCost, false)
+	return s.product(s.computeOpts, pebble.OpCompute, cost+cCost, s.in.OneShot) &&
+		s.product(s.readOpts, pebble.OpRead, cost+gCost, false) &&
+		s.product(s.writeOpts, pebble.OpWrite, cost+gCost, false)
 }
 
 // applyChoice builds the successor for s.choice under the given move kind
@@ -570,30 +574,40 @@ func moveOf(kind pebble.OpKind, choice []int) pebble.Move {
 // computes) every processor may also stay idle, so every non-empty
 // combination is tried. One-shot duplicates of the same node on
 // different processors in a single compute move are rejected in
-// applyChoice.
+// applyChoice. It polls ctx once every ctxCheckMask+1 candidates and
+// returns false, unwinding at once, when ctx is done.
 //
 //mpp:hotpath
-func (s *solver) product(opts [][]int, kind pebble.OpKind, newCost int64, idle bool) {
-	s.productRec(opts, kind, newCost, 0, idle, false)
+func (s *solver) product(opts [][]int, kind pebble.OpKind, newCost int64, idle bool) bool {
+	return s.productRec(opts, kind, newCost, 0, idle, false)
 }
 
 //mpp:hotpath
-func (s *solver) productRec(opts [][]int, kind pebble.OpKind, newCost int64, p int, idle, any bool) {
+func (s *solver) productRec(opts [][]int, kind pebble.OpKind, newCost int64, p int, idle, any bool) bool {
 	if p == len(opts) {
 		if any {
+			s.ticks++
+			if s.ticks&ctxCheckMask == 0 && s.ctx.Err() != nil {
+				return false
+			}
 			s.applyChoice(kind, newCost)
 		}
-		return
+		return true
 	}
 	if idle || len(opts[p]) == 0 {
 		s.choice[p] = -1
-		s.productRec(opts, kind, newCost, p+1, idle, any)
+		if !s.productRec(opts, kind, newCost, p+1, idle, any) {
+			return false
+		}
 	}
 	for _, v := range opts[p] {
 		s.choice[p] = v
-		s.productRec(opts, kind, newCost, p+1, idle, true)
+		if !s.productRec(opts, kind, newCost, p+1, idle, true) {
+			return false
+		}
 	}
 	s.choice[p] = -1
+	return true
 }
 
 func popcount(x uint64) int      { return bits.OnesCount64(x) }

@@ -16,7 +16,7 @@ import (
 // traversal, tie-breaking (LIFO within each bucket of the bucket queue)
 // and pruning logic are shared and only the state-identity structure is
 // swapped, an oracle run must return byte-identical results — the whole
-// Result for ExactWith, (Feasible, States, Order) for ZeroIOBig. The
+// Result for ExactWith, (Feasible, States, Order) for ZeroIO. The
 // equivalence tests assert exactly that on the DAG zoo and the Theorem 2
 // reduction instances.
 
@@ -65,11 +65,11 @@ func exactVisits(in *pebble.Instance, cfg Config) (*Result, int, error) {
 	return res, visits, err
 }
 
-// zeroIOBigOracle is ZeroIOBig backed by the map-based reference memo.
-func zeroIOBigOracle(g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
+// zeroIOOracle is ZeroIO backed by the map-based reference memo.
+func zeroIOOracle(g *dag.Graph, r int, maxStates int) (*ZeroIOResult, error) {
 	words := (g.N() + 63) / 64
 	if words == 0 {
 		words = 1
 	}
-	return zeroIOBig(context.Background(), g, r, maxStates, hashtab.NewRef(words))
+	return zeroIO(context.Background(), g, r, maxStates, hashtab.NewRef(words))
 }

@@ -244,7 +244,7 @@ func (s *solver) route(dst int, cost int64, kind pebble.OpKind, choice []int) {
 	}
 	b.words = append(b.words, s.cand...)
 	b.costs = append(b.costs, cost)
-	if s.witness {
+	if s.cfg.Witness {
 		b.froms = append(b.froms, stateRef{shard: s.shard, idx: s.curIdx})
 		b.moves = append(b.moves, moveOf(kind, choice))
 	}
@@ -365,6 +365,13 @@ func (e *engine) witnessRef() stateRef {
 // reconstruct walks parent refs from the goal back to the seed state,
 // hopping shards as needed, and returns the move sequence. Only called
 // after all workers stopped, so the cross-shard reads are quiescent.
+//
+// A recorded move names shade positions in its parent's canonical red
+// words, so the chain is replayed forward from the empty seed: red holds
+// the canonical red words and proc[i] the processor at position i. Each
+// action runs on its position's processor; after the move the words are
+// re-sorted the way canonicalizeRed sorts them, carrying proc along.
+// Tied words hold identical red sets, so a tie may break either way.
 func (e *engine) reconstruct(goal stateRef) (*pebble.Strategy, error) {
 	if goal.idx < 0 {
 		return nil, fmt.Errorf("opt: witness chain broken (internal error)")
@@ -385,9 +392,33 @@ func (e *engine) reconstruct(goal stateRef) (*pebble.Strategy, error) {
 			return nil, fmt.Errorf("opt: witness chain too long (internal error)")
 		}
 	}
+	k := e.in.K
+	red := make([]uint64, k)
+	proc := make([]int32, k)
+	for p := range proc {
+		proc[p] = int32(p)
+	}
 	st := &pebble.Strategy{}
+	var acts []pebble.Action
 	for i := len(rev) - 1; i >= 0; i-- {
-		st.Append(rev[i])
+		m := rev[i]
+		acts = acts[:0]
+		for _, a := range m.Actions {
+			switch m.Kind {
+			case pebble.OpCompute, pebble.OpRead:
+				red[a.Proc] |= 1 << uint(a.Node)
+			case pebble.OpDelete:
+				red[a.Proc] &^= 1 << uint(a.Node)
+			}
+			acts = append(acts, pebble.Action{Proc: proc[a.Proc], Node: a.Node})
+		}
+		st.Append(pebble.Move{Kind: m.Kind, Actions: acts})
+		for x := 1; x < k; x++ {
+			for y := x; y > 0 && red[y] < red[y-1]; y-- {
+				red[y], red[y-1] = red[y-1], red[y]
+				proc[y], proc[y-1] = proc[y-1], proc[y]
+			}
+		}
 	}
 	return st, nil
 }

@@ -91,10 +91,8 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	in, cfg := e.in, e.cfg
 	s.in, s.ctx, s.cfg = in, e.ctx, cfg
 	s.n = in.Graph.N()
-	s.witness = cfg.Witness
-	s.useDom = cfg.Dominance && !cfg.Witness
 	s.eng, s.shard = e, shard
-	s.pruned, s.reopened, s.pops = 0, 0, 0
+	s.pruned, s.reopened, s.ticks = 0, 0, 0
 	s.domVisits = 0
 	s.curIdx = 0
 	s.initDerived()
@@ -109,7 +107,7 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	s.expandedMark = s.expandedMark[:0]
 	s.parent = s.parent[:0]
 	s.bq.reset()
-	if s.useDom {
+	if cfg.Dominance {
 		if s.dom == nil {
 			s.dom = newDomIndex(in.K)
 		} else {

@@ -52,6 +52,36 @@ func TestSolveCachedByteIdenticalZoo(t *testing.T) {
 	}
 }
 
+// TestSolveCachedWitnessDominance: Dominance changes a witness solve's
+// Result (grid2x3 expands 134 states with it, 316 without), so witness
+// solves with dominance on and off must not share a cache entry. Both go
+// through one cache, and each hit must equal its own fresh solve.
+func TestSolveCachedWitnessDominance(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range zooCases() {
+		in := pebble.MustInstance(tc.g, tc.p)
+		sc := NewSolveCache(cache.Options{})
+		for _, dom := range []bool{true, false, true, false} {
+			cfg := Config{MaxStates: budget, Heuristic: HeuristicMax, Dominance: dom, Witness: true}
+			fresh, err := ExactWith(ctx, in, cfg)
+			if err != nil {
+				t.Fatalf("%s dom=%v: fresh solve: %v", tc.name, dom, err)
+			}
+			got, err := SolveCached(ctx, in, cfg, sc)
+			if err != nil {
+				t.Fatalf("%s dom=%v: cached solve: %v", tc.name, dom, err)
+			}
+			if !reflect.DeepEqual(got, fresh) {
+				t.Errorf("%s dom=%v: cached Result (%d states, %d pruned) ≠ fresh (%d states, %d pruned)",
+					tc.name, dom, got.States, got.Pruned, fresh.States, fresh.Pruned)
+			}
+		}
+		if st := sc.Stats(); st.Hits != 2 || st.Misses != 2 {
+			t.Errorf("%s: stats = %+v; want 2 hits, 2 misses", tc.name, st)
+		}
+	}
+}
+
 // partialCfg is a configuration under which grid3x3 at k=2 cannot finish:
 // the weakest heuristic, no dominance, so the given budget genuinely
 // stops the search with a StatusBudget bracket.

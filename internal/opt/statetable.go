@@ -13,8 +13,9 @@ package opt
 func stateWords(k int) int { return k + 2 }
 
 // canonicalizeRed sorts the red words in place so permuting processor
-// shades collapses to one state (insertion sort; k is tiny). Only sound
-// when no move sequence must be reconstructed.
+// shades collapses to one state (insertion sort; k is tiny). A witness
+// solve recovers the permutation when it rebuilds the move sequence
+// (engine.reconstruct sorts the same way).
 //
 //mpp:hotpath
 func canonicalizeRed(red []uint64) {

@@ -274,7 +274,22 @@ func (m *refModel) opt() int64 {
 
 // unlabeledDAGCounts is the number of DAGs on n unlabeled nodes, n = 0,
 // 1, 2, … (OEIS A003087): smallDAGs must find exactly these.
-var unlabeledDAGCounts = []int{1, 1, 2, 6, 31, 302}
+var unlabeledDAGCounts = []int{1, 1, 2, 6, 31, 302, 5984}
+
+// checkedSmallDAGs is smallDAGs(maxN), checked against
+// unlabeledDAGCounts.
+func checkedSmallDAGs(t *testing.T, maxN int) []*dag.Graph {
+	t.Helper()
+	graphs := smallDAGs(maxN)
+	want := 0
+	for _, c := range unlabeledDAGCounts[1 : maxN+1] {
+		want += c
+	}
+	if len(graphs) != want {
+		t.Fatalf("enumerated %d DAGs on 1..%d nodes, want %d", len(graphs), maxN, want)
+	}
+	return graphs
+}
 
 // smallDAGs returns one graph per isomorphism class of DAGs on 1 to maxN
 // nodes. Every DAG has a topological numbering, so the upper-triangular
@@ -387,25 +402,20 @@ const maxSweepFailures = 10
 
 // TestExactMatchesReference is the exhaustive gate on the optimum: on
 // every DAG up to four nodes (five with OPT_SWEEP=1) crossed with
-// sweepParams, the exact search under DefaultConfig, floor and io
-// without dominance, witness and ModeAsync at two workers returns the
-// reference optimum, and every witness replays to it; every lower bound
-// (StructuralLower, Lemma1Lower, CertifiedLower, RootLowerBound in each
-// mode) is at most OPT, and OPT is at most Lemma1Upper and the replayed
-// cost of every scheduler, with and without Improve.
+// sweepParams, the exact search under DefaultConfig, floor and io with
+// and without dominance, witness and ModeAsync at two workers returns
+// the reference optimum, every witness replays to it, and the witness
+// Result equals DefaultConfig's in every field but Strategy; every
+// lower bound (StructuralLower, Lemma1Lower, CertifiedLower,
+// RootLowerBound in each mode) is at most OPT, and OPT is at most
+// Lemma1Upper and the replayed cost of every scheduler, with and
+// without Improve.
 func TestExactMatchesReference(t *testing.T) {
 	maxN := 4
 	if os.Getenv("OPT_SWEEP") != "" {
 		maxN = 5
 	}
-	graphs := smallDAGs(maxN)
-	want := 0
-	for _, c := range unlabeledDAGCounts[1 : maxN+1] {
-		want += c
-	}
-	if len(graphs) != want {
-		t.Fatalf("enumerated %d DAGs on 1..%d nodes, want %d", len(graphs), maxN, want)
-	}
+	graphs := checkedSmallDAGs(t, maxN)
 
 	witness := DefaultConfig(0)
 	witness.Witness = true
@@ -417,7 +427,9 @@ func TestExactMatchesReference(t *testing.T) {
 	}{
 		{"default", DefaultConfig(0)},
 		{"floor", Config{Heuristic: HeuristicFloor}},
+		{"floor+dom", Config{Heuristic: HeuristicFloor, Dominance: true}},
 		{"io", Config{Heuristic: HeuristicIO}},
+		{"io+dom", Config{Heuristic: HeuristicIO, Dominance: true}},
 		{"witness", witness},
 		{"async", async},
 	}
@@ -440,6 +452,7 @@ func TestExactMatchesReference(t *testing.T) {
 				fail("reference finds no pebbling")
 				continue
 			}
+			var value *Result
 			for _, c := range configs {
 				res, err := ExactWith(ctx, in, c.cfg)
 				if err != nil {
@@ -449,12 +462,18 @@ func TestExactMatchesReference(t *testing.T) {
 				if res.Status != StatusComplete || res.Cost != opt {
 					fail("%s: status %v cost %d, reference OPT %d", c.name, res.Status, res.Cost, opt)
 				}
+				if c.name == "default" {
+					value = res
+				}
 				if c.cfg.Witness {
 					rep, err := pebble.Replay(in, res.Strategy)
 					if err != nil {
 						fail("%s: witness does not replay: %v", c.name, err)
 					} else if rep.Cost != opt {
 						fail("%s: witness replays to %d, OPT %d", c.name, rep.Cost, opt)
+					}
+					if value != nil && !sameButStrategy(res, value) {
+						fail("%s: Result %+v ≠ default's %+v", c.name, *res, *value)
 					}
 				}
 			}
@@ -509,6 +528,51 @@ func TestExactMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d DAGs, %d instances", len(graphs), instances)
+}
+
+// TestZeroIOMatchesReference holds ZeroIO to the reference on every DAG
+// up to five nodes (six with OPT_SWEEP=1) and every r from Δin+1 to n:
+// its verdict is feasible exactly when the reference's one-shot SPP
+// optimum (k=1, compute cost 0, g=1) is 0, and every feasible Order
+// replays through ZeroIOStrategy at cost 0.
+func TestZeroIOMatchesReference(t *testing.T) {
+	maxN := 5
+	if os.Getenv("OPT_SWEEP") != "" {
+		maxN = 6
+	}
+	ctx := context.Background()
+	pairs, feasible, failures := 0, 0, 0
+	for _, g := range checkedSmallDAGs(t, maxN) {
+		for r := g.MaxInDegree() + 1; r <= g.N(); r++ {
+			in := pebble.MustInstance(g, pebble.OneShotSPP(r, 1))
+			pairs++
+			res, err := ZeroIO(ctx, g, r, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", instanceTag(in), err)
+			}
+			opt := newRefModel(in, false).opt()
+			ok := res.Verdict == VerdictFeasible
+			if ok != (opt == 0) {
+				t.Errorf("%s: ZeroIO verdict %v, reference OPT %d", instanceTag(in), res.Verdict, opt)
+				failures++
+			}
+			if ok {
+				feasible++
+				rep, err := pebble.Replay(in, ZeroIOStrategy(g, res.Order))
+				if err != nil {
+					t.Errorf("%s: order %v does not replay: %v", instanceTag(in), res.Order, err)
+					failures++
+				} else if rep.Cost != 0 {
+					t.Errorf("%s: order %v replays at cost %d", instanceTag(in), res.Order, rep.Cost)
+					failures++
+				}
+			}
+			if failures >= maxSweepFailures {
+				t.Fatalf("stopping after %d failures", failures)
+			}
+		}
+	}
+	t.Logf("%d (DAG, r) pairs, %d feasible", pairs, feasible)
 }
 
 // refGraph is the whole state graph reachable from the empty

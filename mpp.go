@@ -135,10 +135,11 @@ func SolveCached(ctx context.Context, in *Instance, cfg SearchConfig, sc *SolveC
 	return opt.SolveCached(ctx, in, cfg, sc)
 }
 
-// ZeroIO decides whether g has a zero-I/O pebbling with r red pebbles
-// (the Theorem 2 decision problem). maxStates bounds the states explored
-// (non-positive means unbounded); runs interrupted by the state budget or
-// by ctx report VerdictIndeterminate.
+// ZeroIO decides whether g has a zero-I/O one-shot pebbling with r red
+// pebbles (the Theorem 2 decision problem), for DAGs of any size.
+// maxStates bounds the states explored (non-positive means unbounded);
+// runs interrupted by the state budget or by ctx report
+// VerdictIndeterminate.
 func ZeroIO(ctx context.Context, g *Graph, r, maxStates int) (*ZeroIOResult, error) {
 	return opt.ZeroIO(ctx, g, r, maxStates)
 }
