@@ -116,7 +116,7 @@ func (c client) do(method, path string, body []byte) []byte {
 // polls until the job is terminal.
 func (c client) submit(args []string) {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	dagSpec := fs.String("dag", "", "DAG generator spec (e.g. grid:4,4, fft:3, chain:16)")
+	dagSpec := fs.String("dag", "", "DAG generator spec (e.g. grid:4,4, fft:3, chain:16); file:PATH is local only, the server rejects it: use -dag-json")
 	dagJSON := fs.String("dag-json", "", "path to a dag.Graph JSON file (alternative to -dag)")
 	k := fs.Int("k", 1, "number of processors")
 	r := fs.Int("r", 0, "red pebbles per processor (0 = Δin+2)")

@@ -53,7 +53,9 @@ import (
 // Version 4: a witness solve runs the value solve's canonicalized,
 // dominance-pruned search, which changes witness Results' States,
 // Pruned and Strategy; Dominance now keys witness entries apart.
-const keyVersion = 4
+// Version 5: the search's queue pops the deepest g first among equal f,
+// which changes States, Pruned, budget-stop brackets and witnesses.
+const keyVersion = 5
 
 // Key domain tags, so a complete-result key and a partial-bracket key of
 // the same instance can never collide.

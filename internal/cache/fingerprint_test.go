@@ -231,10 +231,10 @@ func TestPartialKeyDomain(t *testing.T) {
 func TestKeyGolden(t *testing.T) {
 	in := pebble.MustInstance(gen.Grid2D(2, 3), pebble.MPP(2, 3, 2))
 	sc := SolverConfig{Heuristic: 2, Dominance: true, MaxStates: 1000}
-	if got, want := KeyOf(in, sc).String(), "0c2fe9f6aa7a6313be0d0edfb6b6411c"; got != want {
+	if got, want := KeyOf(in, sc).String(), "d9199f19e6e471551bd8917c20ea306b"; got != want {
 		t.Errorf("KeyOf = %s, want %s", got, want)
 	}
-	if got, want := PartialKeyOf(in, sc).String(), "468bc5c879bc5f7d10d51300515d1361"; got != want {
+	if got, want := PartialKeyOf(in, sc).String(), "a2a91b17d038114798ca6a6452e956c2"; got != want {
 		t.Errorf("PartialKeyOf = %s, want %s", got, want)
 	}
 }

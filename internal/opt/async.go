@@ -6,10 +6,12 @@ package opt
 // the shared engine half and says when each applies).
 //
 // One shard is a sequential A*. Its bucket queue pops f in
-// non-decreasing order (the heuristic stack is consistent), LIFO inside
-// an f-bucket, which keeps the search depth-first across an f-plateau:
-// successors of the newest same-f state are tried first, reaching goal
-// states (and hence incumbent pruning) sooner. Each expanded state is
+// non-decreasing order (the heuristic stack is consistent), and inside
+// an f-bucket the deepest g first, latest push first among equals. That
+// keeps the search depth-first across an f-plateau: the deepest open
+// state is expanded first, so the first goal (and with it incumbent
+// pruning) comes after a short walk of the f = OPT plateau rather than
+// a sweep of it (statetable.go). Each expanded state is
 // settled into the dominance index at once, at the g it expanded with.
 // The run ends when no live entry below the incumbent is left: its
 // first park proves quiescence, and the incumbent is the optimum. A

@@ -138,7 +138,7 @@ func TestDominanceVisitGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantVisits = 11_525_283
+	const wantVisits = 7_784_361
 	if visits != wantVisits {
 		t.Errorf("dominance checks visited %d records, want %d", visits, wantVisits)
 	}

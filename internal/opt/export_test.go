@@ -13,8 +13,8 @@ import (
 //
 // An oracle run is the identical search code run against the map-backed
 // hashtab.Ref instead of the open-addressing table. Because the
-// traversal, tie-breaking (LIFO within each bucket of the bucket queue)
-// and pruning logic are shared and only the state-identity structure is
+// traversal, tie-breaking (deepest g, then latest push, within each
+// f-bucket of the bucket queue) and pruning logic are shared and only the state-identity structure is
 // swapped, an oracle run must return byte-identical results — the whole
 // Result for ExactWith, (Feasible, States, Order) for ZeroIO. The
 // equivalence tests assert exactly that on the DAG zoo and the Theorem 2

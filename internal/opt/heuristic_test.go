@@ -172,7 +172,8 @@ func TestDominancePreservesOptimum(t *testing.T) {
 			return false
 		}
 		// States expanded usually shrink but are not monotone: pruning
-		// shifts LIFO tie-breaking on the f = OPT plateau, so no ≤ claim.
+		// shifts which tie the queue pops first on the f = OPT plateau,
+		// so no ≤ claim.
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {

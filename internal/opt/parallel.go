@@ -6,12 +6,12 @@ package opt
 //
 //   - On one shard — every ModeDeterministic run, whatever
 //     Config.Workers says, and ModeAsync at Workers == 1 — it is a
-//     sequential A*: pop the lowest f-bucket, LIFO inside the bucket,
-//     settle each expanded state into the dominance index at once. No
-//     goroutine, channel or atomic race is involved, so every Result
-//     field, the witness Strategy included, is a pure function of
-//     (instance, Heuristic, Dominance, Witness, MaxStates) unless a
-//     deadline or cancel stops the search.
+//     sequential A*: pop the lowest f-bucket, deepest g first inside
+//     the bucket, settle each expanded state into the dominance index
+//     at once. No goroutine, channel or atomic race is involved, so
+//     every Result field, the witness Strategy included, is a pure
+//     function of (instance, Heuristic, Dominance, Witness, MaxStates)
+//     unless a deadline or cancel stops the search.
 //   - On W > 1 shards (ModeAsync only) it is speculative HDA*: each
 //     shard runs that same loop on its own partition and routes
 //     candidates to their owners, and the search ends by quiescence.
@@ -343,14 +343,9 @@ func (e *engine) partialResult(st Status) (*Result, error) {
 // anytime LowerBound must not see them. Cold path: runs once, at an
 // early stop.
 func (s *solver) liveMinF() (int64, bool) {
-	for fi := s.bq.cur; fi < len(s.bq.buckets); fi++ {
-		for _, ent := range s.bq.buckets[fi] {
-			if ent.g == s.dist[ent.idx] && !s.expandedMark[ent.idx] {
-				return int64(fi), true
-			}
-		}
-	}
-	return 0, false
+	return s.bq.minFWhere(func(ent bqEntry) bool {
+		return ent.g == s.dist[ent.idx] && !s.expandedMark[ent.idx]
+	})
 }
 
 // witnessRef reads the incumbent's state ref under the same lock its

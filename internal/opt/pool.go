@@ -44,7 +44,6 @@ var maxPooledArenaBytes = int64(8 << 20)
 // Per-element sizes for arenaBytes, matching the arena element types.
 const (
 	sliceHdrBytes   = 24 // slice header retained per held buffer
-	bqEntryBytes    = 16 // bqEntry: int32 idx + int64 g, padded
 	parentEdgeBytes = 40 // parentEdge: stateRef + Move header
 )
 
@@ -60,10 +59,7 @@ func (s *solver) arenaBytes() int64 {
 	b += int64(cap(s.dist))*8 + sliceHdrBytes
 	b += int64(cap(s.parent))*parentEdgeBytes + sliceHdrBytes
 	b += int64(cap(s.expandedMark)) + sliceHdrBytes
-	for _, bucket := range s.bq.buckets {
-		b += int64(cap(bucket))*bqEntryBytes + sliceHdrBytes
-	}
-	b += int64(cap(s.bq.buckets)) * sliceHdrBytes
+	b += s.bq.arenaBytes()
 	if s.dom != nil {
 		b += int64(cap(s.dom.slots))*4 + int64(cap(s.dom.keys))*8
 		b += int64(cap(s.dom.recs)) * 8

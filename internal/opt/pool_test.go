@@ -212,6 +212,26 @@ func TestReleaseDropsOversizedArenas(t *testing.T) {
 				len(dom.recs), maxPooledArenaBytes)
 		}
 	}
+
+	// A solver whose only oversized arena is the bucket queue: 32 768
+	// entries spread over 64 f-buckets of 8 h-lists each. If arenaBytes
+	// left the per-h lists out, the solver would look small and be
+	// pooled.
+	qOnly := &solver{}
+	for i := 0; i < 64*512; i++ {
+		f, h := int64(8+i%64), int64(i/64%8)
+		qOnly.bq.push(f, int32(i), f-h)
+	}
+	if entBytes := int64(qOnly.bq.size) * 16; entBytes <= maxPooledArenaBytes {
+		t.Fatalf("queue holds %d entry bytes, not past the %d-byte threshold", entBytes, maxPooledArenaBytes)
+	}
+	(&engine{pooled: true, shards: []*solver{qOnly}}).release()
+	for _, s := range drainSolverPool() {
+		if s == qOnly {
+			t.Errorf("pool retains a solver whose queue holds %d entries (threshold %d bytes): the per-h lists must count as arena bytes",
+				qOnly.bq.size, maxPooledArenaBytes)
+		}
+	}
 }
 
 // TestReleaseKeepsModestArenas guards the other direction: ordinary

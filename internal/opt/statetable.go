@@ -33,88 +33,160 @@ type bqEntry struct {
 	g   int64
 }
 
-// bucketQueue is a monotone bucket (calendar) priority queue over integer
-// f-values. A* with an admissible, consistent heuristic (every mode of
-// the heuristic stack qualifies) pops f in non-decreasing order, so a
-// single forward-moving cursor over an array of buckets replaces the
-// binary heap: push is an append, pop is a slice shrink, and nothing is
-// boxed through an interface. Ties within a bucket pop LIFO (popBucket),
-// a pure function of the push sequence — the oracle solvers share this
-// queue, so expansion order (hence States counts) matches exactly.
+// bucketQueue is a monotone bucket priority queue over integer f-values.
+// A* with an admissible, consistent heuristic (every mode of the
+// heuristic stack qualifies) pops f in non-decreasing order, so a cursor
+// over sorted buckets replaces the binary heap: push is an append, pop
+// is a slice shrink, and nothing is boxed through an interface.
+//
+// Each f-bucket is split by h = f − g, and popBucket takes the entry
+// with the lowest h — the deepest g — and the latest push among equal h.
+// With a consistent heuristic any order inside the lowest f-bucket keeps
+// A* exact and expands each state once, at its final g; deepest-first
+// walks the f = OPT plateau toward a goal, whose relaxation sets the
+// incumbent that ends the search (DESIGN.md §6). The order is a pure
+// function of the push sequence, so an oracle run, which shares this
+// queue, expands in exactly the same order.
+//
+// Keys are sparse: lists holds one hList per (f, h) pair queued since
+// reset, sorted by f then h, so an f-bucket is a run of lists. A search
+// queues tens of distinct keys whatever g is, so memory follows the
+// entries and keys, never the size of the costs. The lists past len
+// are retired ones whose entry slices the next inserted key reuses,
+// which is what a pooled solver recycles.
 type bucketQueue struct {
-	buckets [][]bqEntry
-	cur     int // lowest possibly-non-empty f; only moves forward in pop
-	size    int
+	lists []hList // sorted by (f, h); lists[:cur] are empty
+	cur   int     // index of the lowest possibly non-empty list
+	last  int     // index of the last list pushed to (a hint)
+	size  int
 }
 
-// growBuckets widens the bucket array to cover f-value fi. The I/O-aware
-// heuristics scale f with g, so the key range is up to g times wider than
-// under the bare compute floor; geometric growth with headroom keeps this
-// off the hot path (it runs O(log maxF) times per search).
-func (q *bucketQueue) growBuckets(fi int) {
-	want := 2 * len(q.buckets)
-	if want <= fi {
-		want = fi + 1
-	}
-	q.buckets = append(q.buckets, make([][]bqEntry, want-len(q.buckets))...)
+// hList holds the entries of one (f, h) key, popped LIFO.
+type hList struct {
+	f, h int64
+	ents []bqEntry
 }
 
 //mpp:hotpath
 func (q *bucketQueue) push(f int64, idx int32, g int64) {
-	fi := int(f)
-	if fi >= len(q.buckets) {
-		q.growBuckets(fi)
+	h := f - g
+	i := q.last
+	if i >= len(q.lists) || q.lists[i].f != f || q.lists[i].h != h {
+		var found bool
+		if i, found = q.find(f, h); !found {
+			q.insert(i, f, h)
+		}
+		q.last = i
 	}
-	if fi < q.cur {
-		// Unreachable with a consistent heuristic; kept so the queue
-		// stays correct (not just monotone-correct) under any heuristic.
-		q.cur = fi
+	if i < q.cur {
+		// A key below the lowest queued one: a deeper g in the current
+		// f-bucket, or, on W > 1 shards, a remote candidate below it.
+		q.cur = i
 	}
-	q.buckets[fi] = append(q.buckets[fi], bqEntry{idx: idx, g: g})
+	l := &q.lists[i]
+	l.ents = append(l.ents, bqEntry{idx: idx, g: g})
 	q.size++
 }
 
-// popBucket removes and returns one entry from bucket f (false when the
-// bucket is empty or out of range). Within a bucket the order is LIFO,
-// which keeps the search depth-first across an f-plateau — successors
-// of the newest same-f state are tried first, reaching goal states (and
-// hence incumbent pruning) sooner.
+// find returns the index of key (f, h), or the index it would be
+// inserted at and false.
+//
+//mpp:hotpath
+func (q *bucketQueue) find(f, h int64) (int, bool) {
+	lo, hi := 0, len(q.lists)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l := &q.lists[mid]; l.f < f || l.f == f && l.h < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(q.lists) && q.lists[lo].f == f && q.lists[lo].h == h
+}
+
+// insert opens an empty list for key (f, h) at index i, reusing a
+// retired list's capacity when one is held past len. Cold: it runs once
+// per distinct key a search queues.
+func (q *bucketQueue) insert(i int, f, h int64) {
+	n := len(q.lists)
+	if n < cap(q.lists) {
+		q.lists = q.lists[:n+1]
+	} else {
+		q.lists = append(q.lists, hList{})
+	}
+	spare := q.lists[n].ents[:0]
+	copy(q.lists[i+1:], q.lists[i:n])
+	q.lists[i] = hList{f: f, h: h, ents: spare}
+}
+
+// popBucket removes and returns the lowest f-bucket's entry with the
+// lowest h, the latest pushed among equal h; false when the queue is
+// empty or its lowest f is not f. Call it with the f minF reports.
 //
 //mpp:hotpath
 func (q *bucketQueue) popBucket(f int64) (bqEntry, bool) {
-	fi := int(f)
-	if fi >= len(q.buckets) || len(q.buckets[fi]) == 0 {
+	if m, ok := q.minF(); !ok || m != f {
 		return bqEntry{}, false
 	}
-	b := q.buckets[fi]
-	ent := b[len(b)-1]
-	q.buckets[fi] = b[:len(b)-1]
+	l := &q.lists[q.cur]
+	ent := l.ents[len(l.ents)-1]
+	l.ents = l.ents[:len(l.ents)-1]
 	q.size--
 	return ent, true
 }
 
-// reset empties the queue while keeping every bucket's capacity, so a
-// pooled solver's queue is reusable across searches without reallocating.
+// reset empties the queue in O(1) while keeping every list's capacity,
+// so a pooled solver's queue is reusable across searches without
+// reallocating: the lists past len are retired, and insert clears one
+// as it reuses it.
 func (q *bucketQueue) reset() {
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
-	}
-	q.cur = 0
-	q.size = 0
+	q.lists = q.lists[:0]
+	q.cur, q.last, q.size = 0, 0, 0
 }
 
 // minF returns the smallest f-value currently queued (false when empty).
 // With the consistent heuristic this is an admissible lower bound on any
 // solution still undiscovered — the anytime bound reported by an early
-// stop. Advancing cur past drained buckets is safe: f only grows.
+// stop. Advancing cur past drained lists is safe: push moves it back
+// when a key below it fills.
 //
 //mpp:hotpath
 func (q *bucketQueue) minF() (int64, bool) {
 	if q.size == 0 {
 		return 0, false
 	}
-	for len(q.buckets[q.cur]) == 0 {
+	for len(q.lists[q.cur].ents) == 0 {
 		q.cur++
 	}
-	return int64(q.cur), true
+	return q.lists[q.cur].f, true
+}
+
+// minFWhere returns the smallest f-value holding an entry that keep
+// accepts (false when none does). Cold: it scans every queued entry.
+func (q *bucketQueue) minFWhere(keep func(bqEntry) bool) (int64, bool) {
+	for _, l := range q.lists[q.cur:] {
+		for _, ent := range l.ents {
+			if keep(ent) {
+				return l.f, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// Per-element sizes for arenaBytes, matching the queue's element types.
+const (
+	bqEntryBytes = 16 // bqEntry: int32 idx + int64 g, padded
+	hListBytes   = 40 // hList: f, h and the entries slice header
+)
+
+// arenaBytes is the capacity the queue pins, retired lists included,
+// for the pool's retention cap.
+func (q *bucketQueue) arenaBytes() int64 {
+	b := int64(cap(q.lists)) * hListBytes
+	for _, l := range q.lists[:cap(q.lists)] {
+		b += int64(cap(l.ents)) * bqEntryBytes
+	}
+	return b
 }

@@ -82,8 +82,9 @@ type Instance struct {
 
 // NewInstance validates the parameters against the DAG and returns the
 // instance. It enforces r ≥ Δ_in + 1, the necessary and sufficient
-// condition for a valid pebbling to exist (Section 4), and k ≤
-// math.MaxInt32, so that every processor index fits in Action.Proc.
+// condition for a valid pebbling to exist (Section 4); k ≤
+// math.MaxInt32, so that every processor index fits in Action.Proc; and
+// g, compute cost ≤ math.MaxInt32, so that int64 costs cannot overflow.
 func NewInstance(g *dag.Graph, p Params) (*Instance, error) {
 	if g == nil {
 		return nil, fmt.Errorf("pebble: nil graph")
@@ -100,8 +101,14 @@ func NewInstance(g *dag.Graph, p Params) (*Instance, error) {
 	if p.G < 0 {
 		return nil, fmt.Errorf("pebble: g = %d, want ≥ 0", p.G)
 	}
+	if p.G > math.MaxInt32 {
+		return nil, fmt.Errorf("pebble: g = %d, want ≤ %d", p.G, math.MaxInt32)
+	}
 	if p.ComputeCost < 0 {
 		return nil, fmt.Errorf("pebble: compute cost = %d, want ≥ 0", p.ComputeCost)
+	}
+	if p.ComputeCost > math.MaxInt32 {
+		return nil, fmt.Errorf("pebble: compute cost = %d, want ≤ %d", p.ComputeCost, math.MaxInt32)
 	}
 	if p.R < g.MaxInDegree()+1 {
 		return nil, fmt.Errorf("pebble: r = %d < Δ_in+1 = %d; no valid pebbling exists",

@@ -235,6 +235,29 @@ func TestNewInstanceRejectsKBeyondInt32(t *testing.T) {
 	}
 }
 
+// TestNewInstanceRejectsCostsBeyondInt32: g and the compute cost must
+// fit in an int32, so int64 costs cannot overflow.
+func TestNewInstanceRejectsCostsBeyondInt32(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("int is 32 bits: no cost exceeds math.MaxInt32")
+	}
+	g := gen.Chain(2)
+	p := MPP(1, 2, math.MaxInt32)
+	p.ComputeCost = math.MaxInt32
+	if _, err := NewInstance(g, p); err != nil {
+		t.Fatalf("g = compute cost = MaxInt32 rejected: %v", err)
+	}
+	big := int64(math.MaxInt32) + 1
+	if _, err := NewInstance(g, MPP(1, 2, int(big))); err == nil {
+		t.Errorf("g = %d accepted", big)
+	}
+	p = MPP(1, 2, 1)
+	p.ComputeCost = int(big)
+	if _, err := NewInstance(g, p); err == nil {
+		t.Errorf("compute cost = %d accepted", big)
+	}
+}
+
 func TestReplayRejections(t *testing.T) {
 	in := chainInstance(t, 3, MPP(2, 2, 1))
 	cases := []struct {

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/bounds"
@@ -35,7 +36,9 @@ import (
 type SubmitRequest struct {
 	// DAG is a generator spec (spec.DAGSyntax, e.g. "grid:4,4");
 	// DAGJSON is an inline dag.Graph JSON document. Exactly one must be
-	// set.
+	// set. The spec kind file:PATH is local to the CLIs and rejected
+	// here, since it would read a path on the server's host: send a
+	// graph from a file as DAGJSON.
 	DAG     string          `json:"dag,omitempty"`
 	DAGJSON json.RawMessage `json:"dag_json,omitempty"`
 
@@ -109,6 +112,9 @@ func (req *SubmitRequest) graph() (*dag.Graph, error) {
 	case req.DAG != "" && len(req.DAGJSON) > 0:
 		return nil, fmt.Errorf(`both "dag" and "dag_json" set; submit exactly one`)
 	case req.DAG != "":
+		if kind, _, _ := strings.Cut(req.DAG, ":"); kind == "file" {
+			return nil, fmt.Errorf(`"dag" kind "file" reads the server's disk and is not accepted; send the graph as "dag_json"`)
+		}
 		return spec.ParseDAG(req.DAG)
 	case len(req.DAGJSON) > 0:
 		return dag.FromJSON(req.DAGJSON)

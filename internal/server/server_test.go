@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -357,6 +359,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative timeout", `{"dag":"chain:3","k":1,"g":1,"timeout_ms":-5}`},
 		{"unknown field", `{"dag":"chain:3","k":1,"g":1,"bogus":true}`},
 		{"negative k", `{"dag":"chain:3","k":-2,"g":1}`},
+		// Past math.MaxInt32 an int64 cost can overflow; g = 2⁶² once
+		// panicked the worker that ran it.
+		{"g beyond int32", `{"dag":"grid:2,2","k":1,"g":4611686018427387904}`},
+		{"compute cost beyond int32", `{"dag":"chain:3","k":1,"g":1,"compute_cost":2147483648}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -373,6 +379,38 @@ func TestSubmitValidation(t *testing.T) {
 				t.Fatalf("missing error envelope: %v", err)
 			}
 		})
+	}
+}
+
+// TestSubmitRejectsFileDAG: a "file:" spec would read a path on the
+// server's host, and its parse error would echo the file's first token
+// back to the client. The server refuses the kind before opening
+// anything.
+func TestSubmitRejectsFileDAG(t *testing.T) {
+	const marker = "s3cret-token-marker"
+	path := filepath.Join(t.TempDir(), "secret.txt")
+	if err := os.WriteFile(path, []byte(marker+" 1 2\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	ts := startServer(t, Options{Workers: 1})
+	body, err := json.Marshal(SubmitRequest{DAG: "file:" + path, K: 1, G: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("HTTP %d (%s), want 400", resp.StatusCode, out)
+	}
+	if strings.Contains(string(out), marker) {
+		t.Errorf("response %s echoes the file's contents", out)
+	}
+	if !strings.Contains(string(out), "dag_json") {
+		t.Errorf("response %s does not point to dag_json", out)
 	}
 }
 

@@ -46,10 +46,11 @@ go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/pebble/
 
 echo "== bench module =="
 # bench/ is its own Go module (repro/bench, replace repro => ../), so the
-# root build and test above skip it: build and test it here, so that a
-# renamed or removed entry point cannot break the benchmark unnoticed.
+# root build, vet and test above skip it: build, vet and test it here,
+# so that a renamed or removed entry point cannot break the benchmark
+# unnoticed.
 # -o /dev/null keeps the single main package from leaving a binary.
-(cd bench && go build -o /dev/null ./... && go test ./...)
+(cd bench && go build -o /dev/null ./... && go vet ./... && go test ./...)
 
 echo "== go test -race =="
 # The sharded exact solver (ModeAsync, opt.Config.Workers > 1) routes
