@@ -202,12 +202,6 @@ func MMMCostLowerBound(n, k, r, g int) float64 {
 	return nn / float64(k) * (float64(g)*(2*nn*nn/math.Sqrt(float64(r*k))+nn) + 1)
 }
 
-// SurplusCost returns the surplus cost C − n/k of Definition 1 for a
-// measured cost C.
-func SurplusCost(cost int64, n, k int) float64 {
-	return float64(cost) - float64(n)/float64(k)
-}
-
 // Gap returns the relative optimality gap (incumbent − lower) / lower of
 // an anytime search's bracket OPT ∈ [lower, incumbent]. A gap of 0 means
 // the incumbent is proven optimal. Degenerate brackets: no incumbent

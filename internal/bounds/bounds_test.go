@@ -124,15 +124,6 @@ func TestCostLowerBoundInstantiations(t *testing.T) {
 	}
 }
 
-func TestSurplusCost(t *testing.T) {
-	if got := SurplusCost(10, 8, 2); got != 6 {
-		t.Errorf("SurplusCost = %v, want 6", got)
-	}
-	if got := SurplusCost(5, 10, 2); got != 0 {
-		t.Errorf("SurplusCost = %v, want 0", got)
-	}
-}
-
 // TestQuickSchedulersRespectFFTBound checks the load-bearing property of
 // Lemma 5: measured MPP I/O moves of any valid strategy on the FFT DAG
 // are at least the translated bound L/k — using the *actual pebbled size*

@@ -7,7 +7,7 @@ import "sort"
 // iteration feeding the result order, a time.Now sneaking into a
 // tie-break, a select racing two result channels — so every function
 // transitively reachable from a `//mpp:deterministic` root (the exact
-// engine's driver, runAsync) is checked for the three hazards:
+// engine's entry point, engine.run) is checked for the three hazards:
 //
 //   - ranging over a map (iteration order is randomized; iterate
 //     sorted keys instead);

@@ -12,9 +12,12 @@ package opt
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/hashtab"
 	"repro/internal/pebble"
 )
 
@@ -186,6 +189,69 @@ func TestAsyncCancel(t *testing.T) {
 			}
 		default:
 			t.Fatalf("rep %d: unexpected error %v", rep, err)
+		}
+	}
+}
+
+// TestAsyncStopLosesNoCandidate checks the exchange's books after every
+// way a sharded run can end: complete, stopped by budgets 1, 2, 10 and
+// 100, and canceled while it runs. It drives newEngine directly, as
+// exactVisits does, so the engine can be inspected after run returns:
+// by then every shipped candidate must sit in its owner's queue, with
+// inflight at 0 and every mailbox and outgoing run empty. A candidate
+// left behind would be missing from the frontier the anytime LowerBound
+// is read from.
+func TestAsyncStopLosesNoCandidate(t *testing.T) {
+	for _, c := range zooCases() {
+		in := pebble.MustInstance(c.g, c.p)
+		full, err := exactSeq(in, budget)
+		if err != nil {
+			t.Fatalf("%s: full solve: %v", c.name, err)
+		}
+		newTab := func() hashtab.Index { return hashtab.New(stateWords(in.K), 1024) }
+		for _, w := range []int{2, 4, 7} {
+			for _, witness := range []bool{false, true} {
+				for _, end := range []struct {
+					max    int
+					cancel bool
+				}{{budget, false}, {1, false}, {2, false}, {10, false}, {100, false}, {budget, true}} {
+					cfg := DefaultConfig(end.max)
+					cfg.Mode, cfg.Workers, cfg.Witness = ModeAsync, w, witness
+					ctx, cancel := context.WithCancel(context.Background())
+					if end.cancel {
+						// Race a cancel against the run.
+						go func() {
+							time.Sleep(time.Duration(w*10) * time.Microsecond)
+							cancel()
+						}()
+					}
+					tag := fmt.Sprintf("%s workers=%d witness=%v budget=%d cancel=%v", c.name, w, witness, end.max, end.cancel)
+					eng := newEngine(ctx, in, cfg, newTab, false)
+					res, err := eng.run()
+					cancel()
+					if err != nil && !errors.Is(err, ErrBudget) && !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if n := atomic.LoadInt64(&eng.inflight); n != 0 {
+						t.Errorf("%s: %d candidates still in flight", tag, n)
+					}
+					for dst := range eng.mail {
+						if n := atomic.LoadInt64(&eng.mail[dst].pending); n != 0 || len(eng.mail[dst].run.costs) != 0 {
+							t.Errorf("%s: shard %d's mailbox still holds %d candidates", tag, dst, len(eng.mail[dst].run.costs))
+						}
+					}
+					for _, s := range eng.shards {
+						for dst, r := range s.out {
+							if len(r.costs) != 0 {
+								t.Errorf("%s: shard %d never shipped %d candidates for shard %d", tag, s.shard, len(r.costs), dst)
+							}
+						}
+					}
+					if res.LowerBound > full.Cost {
+						t.Errorf("%s: lower bound %d above OPT %d", tag, res.LowerBound, full.Cost)
+					}
+				}
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ package opt
 // does: the subset test per canonical position is what makes the
 // processor matching sound. A witness solve prunes the same candidates;
 // a pruned state gets no parent edge, and the witness runs through its
-// dominator instead. "Settled" means expanded: solver.asyncExpand adds
+// dominator instead. "Settled" means expanded: solver.expandEntry adds
 // each state's record at the g it expands with (async.go).
 //
 // Layout. Settled states are indexed by a (blue, computed) hash in an

@@ -125,9 +125,9 @@ type Config struct {
 	Witness bool
 	// Workers is the number of shards a ModeAsync search is hash-sharded
 	// across: 0 means GOMAXPROCS; 1 runs the engine inline with no
-	// goroutines or channels. ModeDeterministic ignores it and always
-	// runs on one shard, so its Result, witness Strategy included, is the
-	// same at every setting.
+	// goroutines. ModeDeterministic ignores it and always runs on one
+	// shard, so its Result, witness Strategy included, is the same at
+	// every setting.
 	Workers int
 	// Mode selects the shard count: ModeDeterministic (the zero value)
 	// runs on one shard, deterministically, on one core; ModeAsync
@@ -213,7 +213,7 @@ type parentEdge struct {
 // solver is one shard's worker state: it owns a contiguous partition of
 // the hash-sharded state space — its own table arena, distance and
 // parent arrays, bucket queue and dominance index — and exchanges only
-// candidate batches (see parallel.go) with other shards. With one
+// runs of candidates (see parallel.go) with other shards. With one
 // worker there is exactly one solver holding the whole space.
 type solver struct {
 	in  *pebble.Instance
@@ -247,9 +247,11 @@ type solver struct {
 	reopened     int // expanded states reopened by a better g
 	ticks        int // expansions and product candidates, for ctx-poll throttling
 
-	// Cross-shard routing state (W > 1 only): the outgoing batch under
-	// construction per destination shard.
-	out []*batch
+	// Cross-shard routing state: the outgoing run per destination shard
+	// (W > 1 only fills them), and the empty run take swaps into this
+	// shard's mailbox.
+	out   []run
+	spare run
 
 	curIdx int32 // index of the state being expanded
 
@@ -323,12 +325,12 @@ func (s *solver) isGoal(w []uint64) bool {
 
 // offer canonicalizes the candidate state in s.cand and routes it at
 // the given g-cost to its owning shard: applied immediately when this
-// shard owns it, batched onto the owner's inbox otherwise. Ownership
-// hashes only the (blue, computed) words, so canonicalizing first does
-// not move the candidate across shards. The move is materialized from
-// (kind, choice) only in a witness solve — lazily (only when the
-// candidate improves) on the local path; eagerly when crossing shards,
-// since the scratch choice vector cannot travel.
+// shard owns it, gathered into a run for the owner's mailbox otherwise.
+// Ownership hashes only the (blue, computed) words, so canonicalizing
+// first does not move the candidate across shards. The move is
+// materialized from (kind, choice) only in a witness solve — lazily
+// (only when the candidate improves) on the local path; eagerly when
+// crossing shards, since the scratch choice vector cannot travel.
 //
 //mpp:hotpath
 func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
@@ -354,8 +356,8 @@ func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 }
 
 // applyRemote applies one candidate received from another shard — the
-// deferred half of offer, run when the owner drains its inbox. The words
-// slice aliases the batch buffer; Insert copies it.
+// deferred half of offer, run when the owner applies its mailbox. The
+// words slice aliases the run's buffer; Insert copies it.
 //
 //mpp:hotpath
 func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.Move) {

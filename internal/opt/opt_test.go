@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bounds"
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/pebble"
@@ -186,7 +187,7 @@ func TestExactNeverAboveHeuristics(t *testing.T) {
 			t.Logf("seed %d: exact failed: %v", seed, err)
 			return false
 		}
-		lb := sched.LowerBoundCost(in)
+		lb := bounds.Lemma1Lower(in)
 		if res.Cost < lb {
 			t.Logf("seed %d: OPT %d below trivial bound %d", seed, res.Cost, lb)
 			return false

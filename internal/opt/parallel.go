@@ -1,14 +1,15 @@
 package opt
 
-// The exact search engine's shared half: sharding, cross-shard
-// routing, the search-wide atomics and result assembly. The driver is
-// runAsync (async.go). One engine does two things:
+// The exact search engine's shared half: sharding, the mailboxes that
+// carry candidates across shards, the search-wide atomics and result
+// assembly. engine.run (async.go) runs the search. One engine does two
+// things:
 //
 //   - On one shard — every ModeDeterministic run, whatever
 //     Config.Workers says, and ModeAsync at Workers == 1 — it is a
 //     sequential A*: pop the lowest f-bucket, deepest g first inside
 //     the bucket, settle each expanded state into the dominance index
-//     at once. No goroutine, channel or atomic race is involved, so
+//     at once. No goroutine, lock or atomic race is involved, so
 //     every Result field, the witness Strategy included, is a pure
 //     function of (instance, Heuristic, Dominance, Witness, MaxStates)
 //     unless a deadline or cancel stops the search.
@@ -26,6 +27,14 @@ package opt
 // arena, distance/parent arrays, bucket queue and dominance index
 // outright; nothing per-state is ever shared, so the shards run
 // lock-free on their hot paths.
+//
+// A candidate for another shard joins this shard's run for that owner;
+// a full run (batchStates candidates), and every run when the shard
+// parks or stops, is shipped: appended to the owner's mailbox under its
+// lock. A ship never waits for the owner, so no shard can block
+// another, and the owner takes its whole mailbox at once by swapping in
+// an empty spare run. After the workers exit, the coordinator applies
+// each mailbox to its own shard, so a stop loses no candidate.
 //
 // The incumbent is a search-wide atomic min (offerIncumbent), the
 // expansion budget one atomic counter charged per expansion
@@ -49,27 +58,41 @@ const (
 	// fan-out and quiescence polling dominate any conceivable gain on
 	// ≤ 62-node instances.
 	maxWorkers = 64
-	// batchStates is the number of candidates a router batch carries
-	// before it is shipped; bounds memory without per-candidate sends.
+	// batchStates is the number of candidates a per-destination run
+	// gathers before it is shipped, so a mailbox lock is taken once per
+	// batch rather than once per candidate.
 	batchStates = 64
-	// inboxDepth bounds each shard's inbox channel. Senders facing a
-	// full inbox drain their own inbox while waiting (see asyncShip), so
-	// the bound throttles memory without deadlock.
-	inboxDepth = 8
 )
 
-// batch is the router's unit of cross-shard transfer: up to batchStates
-// candidate relaxations (packed words + g-cost, plus parent ref and
-// move in witness mode). Batches are pooled and reused.
-type batch struct {
-	n     int
+// run is a column-wise list of candidate relaxations: packed words
+// (stateWords each) and g-costs, plus parent ref and move in witness
+// mode. A shard gathers one per destination, and each mailbox holds one.
+type run struct {
 	words []uint64
 	costs []int64
 	froms []stateRef    // witness mode only
 	moves []pebble.Move // witness mode only
 }
 
-// engine is the shared search-wide state: the shards, their inboxes,
+// reset empties the run, keeping its capacity; the moves are cleared
+// so a pooled run pins no Actions slices.
+func (r *run) reset() {
+	clear(r.moves)
+	r.words, r.costs = r.words[:0], r.costs[:0]
+	r.froms, r.moves = r.froms[:0], r.moves[:0]
+}
+
+// mailbox is a shard's inbox: senders append to run under mu and never
+// wait on its owner, which takes the whole run at once by swapping in
+// its empty spare. pending mirrors len(run.costs) so the owner polls it
+// without the lock.
+type mailbox struct {
+	pending int64 // atomic
+	mu      sync.Mutex
+	run     run // mpp:guardedby mu
+}
+
+// engine is the shared search-wide state: the shards, their mailboxes,
 // the atomic incumbent/budget/stop words, and the configuration.
 type engine struct {
 	in      *pebble.Instance
@@ -80,27 +103,20 @@ type engine struct {
 	pooled  bool  // shards come from / return to the package arena pool
 
 	shards []*solver
-	inbox  []chan *batch
-	pool   sync.Pool // *batch
+	mail   []mailbox // one per shard
 
 	expandedTotal int64  // atomic: expansions across all shards
 	incumbent     int64  // atomic: cheapest feasible cost seen, MaxInt64 if none
 	stopFlag      uint32 // atomic: 0 = running, else uint32(Status) of the stop
 
 	// Quiescence detection at W > 1 (see async.go): the number of
-	// shards currently holding work, the number of shipped batches not
-	// yet applied by their receiver, an epoch bumped on every idle→busy
+	// shards currently holding work, the number of shipped candidates
+	// not yet applied by their owner, an epoch bumped on every idle→busy
 	// transition, and the all-shards-quiescent flag.
 	busy     int64  // atomic
 	inflight int64  // atomic
 	activity int64  // atomic
 	doneFlag uint32 // atomic: 1 once quiescence was proven
-
-	// leftover collects batches whose receiver may already have quit
-	// (early stop); the coordinator applies them after the workers
-	// exit so the anytime LowerBound sees the complete frontier.
-	leftMu   sync.Mutex
-	leftover []*batch // mpp:guardedby leftMu
 
 	incMu    sync.Mutex // guards incRef alongside the incumbent store
 	incRef   stateRef   // mpp:guardedby incMu
@@ -118,15 +134,11 @@ func newEngine(ctx context.Context, in *pebble.Instance, cfg Config, newTab func
 	}
 	e := &engine{in: in, ctx: ctx, cfg: cfg, nShards: w, limit: limit, pooled: pooled,
 		incumbent: math.MaxInt64, incRef: stateRef{idx: -1}}
-	e.pool.New = func() any { return new(batch) }
 	e.shards = make([]*solver, w)
-	e.inbox = make([]chan *batch, w)
+	e.mail = make([]mailbox, w)
 	for i := range e.shards {
 		s := acquireSolver(pooled)
 		s.bind(e, int32(i), newTab, pooled)
-		if w > 1 {
-			e.inbox[i] = make(chan *batch, inboxDepth)
-		}
 		e.shards[i] = s
 	}
 	return e
@@ -217,53 +229,87 @@ func (e *engine) reopenedTotal() int {
 	return total
 }
 
-// run seeds the start state and runs the search.
-func (e *engine) run() (*Result, error) {
-	start := make([]uint64, stateWords(e.in.K))
-	owner := 0
-	if e.nShards > 1 {
-		owner = e.ownerOf(start)
-	}
-	s := e.shards[owner]
-	idx, fresh := s.insert(start, 0)
-	e.startRef = stateRef{shard: int32(owner), idx: idx}
-	s.enqueue(start, 0, idx, fresh)
-	return e.runAsync()
-}
-
-// route appends a candidate to the outgoing batch for shard dst,
-// shipping the batch when full. Batches are pooled; the append targets
-// pooled capacity, so steady-state routing does not allocate.
+// route appends a candidate to this shard's run for shard dst,
+// shipping the run once it holds batchStates candidates. The runs keep
+// their capacity, so steady-state routing does not allocate.
 //
 //mpp:hotpath
 func (s *solver) route(dst int, cost int64, kind pebble.OpKind, choice []int) {
-	b := s.out[dst]
-	if b == nil {
-		b = s.eng.getBatch()
-		s.out[dst] = b
-	}
-	b.words = append(b.words, s.cand...)
-	b.costs = append(b.costs, cost)
+	r := &s.out[dst]
+	r.words = append(r.words, s.cand...)
+	r.costs = append(r.costs, cost)
 	if s.cfg.Witness {
-		b.froms = append(b.froms, stateRef{shard: s.shard, idx: s.curIdx})
-		b.moves = append(b.moves, moveOf(kind, choice))
+		r.froms = append(r.froms, stateRef{shard: s.shard, idx: s.curIdx})
+		r.moves = append(r.moves, moveOf(kind, choice))
 	}
-	b.n++
-	if b.n >= batchStates {
-		s.out[dst] = nil
-		s.asyncShip(dst, b)
+	if len(r.costs) >= batchStates {
+		s.ship(dst)
 	}
 }
 
-func (e *engine) getBatch() *batch { return e.pool.Get().(*batch) }
+// ship appends this shard's run for dst to dst's mailbox. inflight
+// grows before the candidates become visible (the ordering rule in
+// async.go).
+func (s *solver) ship(dst int) {
+	r := &s.out[dst]
+	n := int64(len(r.costs))
+	mb := &s.eng.mail[dst]
+	atomic.AddInt64(&s.eng.inflight, n)
+	mb.mu.Lock()
+	mb.run.words = append(mb.run.words, r.words...)
+	mb.run.costs = append(mb.run.costs, r.costs...)
+	mb.run.froms = append(mb.run.froms, r.froms...)
+	mb.run.moves = append(mb.run.moves, r.moves...)
+	atomic.AddInt64(&mb.pending, n)
+	mb.mu.Unlock()
+	r.reset()
+}
 
-func (e *engine) putBatch(b *batch) {
-	b.n = 0
-	b.words = b.words[:0]
-	b.costs = b.costs[:0]
-	b.froms = b.froms[:0]
-	b.moves = b.moves[:0]
-	e.pool.Put(b)
+// flush ships every non-empty outgoing run.
+func (s *solver) flush() {
+	for dst := range s.out {
+		if len(s.out[dst].costs) > 0 {
+			s.ship(dst)
+		}
+	}
+}
+
+// take swaps this shard's mailbox run for its empty spare, reporting
+// whether it took any candidate. Only the owner takes, so a pending
+// count it reads cannot shrink before its lock.
+//
+//mpp:hotpath
+func (s *solver) take() bool {
+	mb := &s.eng.mail[s.shard]
+	if atomic.LoadInt64(&mb.pending) == 0 {
+		return false
+	}
+	mb.mu.Lock()
+	mb.run, s.spare = s.spare, mb.run
+	atomic.StoreInt64(&mb.pending, 0)
+	mb.mu.Unlock()
+	return true
+}
+
+// apply relaxes the candidates take moved into the spare run, then
+// retires their inflight count. The decrement comes last: until the
+// candidates are queued, the quiescence check must still see them.
+//
+//mpp:hotpath
+func (s *solver) apply() {
+	r := &s.spare
+	wpk := stateWords(s.in.K)
+	for i, cost := range r.costs {
+		var from stateRef
+		var mv pebble.Move
+		if s.cfg.Witness {
+			from, mv = r.froms[i], r.moves[i]
+		}
+		s.applyRemote(r.words[i*wpk:(i+1)*wpk], cost, from, mv)
+	}
+	n := int64(len(r.costs))
+	r.reset()
+	atomic.AddInt64(&s.eng.inflight, -n)
 }
 
 // drained handles an exhausted frontier: with an incumbent the search

@@ -45,11 +45,13 @@ var maxPooledArenaBytes = int64(8 << 20)
 const (
 	sliceHdrBytes   = 24 // slice header retained per held buffer
 	parentEdgeBytes = 40 // parentEdge: stateRef + Move header
+	moveBytes       = 32 // pebble.Move: kind + Actions header
+	stateRefBytes   = 8  // stateRef: shard + index
 )
 
 // arenaBytes estimates the capacity this solver's recycled arenas pin:
-// the state table, the per-state arrays, the bucket queue and the
-// dominance index. Scratch buffers and cross-shard batches are O(n·k)
+// the state table, the per-state arrays, the bucket queue, the
+// dominance index and the cross-shard runs. Scratch buffers are O(n·k)
 // and excluded. An estimate is all the retention cap needs.
 func (s *solver) arenaBytes() int64 {
 	var b int64
@@ -64,7 +66,16 @@ func (s *solver) arenaBytes() int64 {
 		b += int64(cap(s.dom.slots))*4 + int64(cap(s.dom.keys))*8
 		b += int64(cap(s.dom.recs)) * 8
 	}
-	return b
+	for _, r := range s.out[:cap(s.out)] {
+		b += r.arenaBytes()
+	}
+	return b + s.spare.arenaBytes()
+}
+
+// arenaBytes is the capacity a run pins.
+func (r *run) arenaBytes() int64 {
+	return int64(cap(r.words))*8 + int64(cap(r.costs))*8 +
+		int64(cap(r.froms))*stateRefBytes + int64(cap(r.moves))*moveBytes + 4*sliceHdrBytes
 }
 
 // acquireSolver returns a recycled solver when pooling is on, a fresh
@@ -110,15 +121,14 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 			s.dom.reset(in.K)
 		}
 	}
-	if e.nShards > 1 {
-		if len(s.out) == e.nShards {
-			clear(s.out)
-		} else {
-			s.out = make([]*batch, e.nShards)
-		}
-	} else {
-		s.out = nil
+	if cap(s.out) < e.nShards {
+		s.out = make([]run, e.nShards)
 	}
+	s.out = s.out[:e.nShards]
+	for i := range s.out {
+		s.out[i].reset()
+	}
+	s.spare.reset()
 }
 
 // release returns the engine's solvers to the pool (no-op for oracle

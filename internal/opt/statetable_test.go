@@ -116,7 +116,7 @@ func TestBucketQueueOrder(t *testing.T) {
 					q.reset()
 					ref = refQueue{seq: ref.seq}
 					popped = false
-				case op >= 12: // pop the lowest f, as asyncLoop does
+				case op >= 12: // pop the lowest f, as solver.loop does
 					f, ok := q.minF()
 					want, wok := ref.pop()
 					if ok != wok {

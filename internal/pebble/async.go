@@ -36,33 +36,33 @@ func AsyncMakespan(in *Instance, s *Strategy) int64 {
 		switch m.Kind {
 		case OpWrite:
 			for _, a := range m.Actions {
-				start := max64(avail[a.Proc], redAt[a.Proc][a.Node])
+				start := max(avail[a.Proc], redAt[a.Proc][a.Node])
 				fin := start + gCost
 				avail[a.Proc] = fin
 				if !hasBlue[a.Node] || fin < blueAt[a.Node] {
 					blueAt[a.Node] = fin
 					hasBlue[a.Node] = true
 				}
-				makespan = max64(makespan, fin)
+				makespan = max(makespan, fin)
 			}
 		case OpRead:
 			for _, a := range m.Actions {
-				start := max64(avail[a.Proc], blueAt[a.Node])
+				start := max(avail[a.Proc], blueAt[a.Node])
 				fin := start + gCost
 				avail[a.Proc] = fin
 				redAt[a.Proc][a.Node] = fin
-				makespan = max64(makespan, fin)
+				makespan = max(makespan, fin)
 			}
 		case OpCompute:
 			for _, a := range m.Actions {
 				start := avail[a.Proc]
 				for _, u := range in.Graph.Pred(a.Node) {
-					start = max64(start, redAt[a.Proc][u])
+					start = max(start, redAt[a.Proc][u])
 				}
 				fin := start + cCost
 				avail[a.Proc] = fin
 				redAt[a.Proc][a.Node] = fin
-				makespan = max64(makespan, fin)
+				makespan = max(makespan, fin)
 			}
 		case OpDelete:
 			// Free and instantaneous; availability times are unaffected
@@ -72,11 +72,4 @@ func AsyncMakespan(in *Instance, s *Strategy) int64 {
 		}
 	}
 	return makespan
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

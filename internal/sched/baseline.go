@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"repro/internal/dag"
-	"repro/internal/pebble"
-)
+import "repro/internal/pebble"
 
 // Baseline is the naive strategy from the proof of Lemma 1: walk the nodes
 // in topological order; for each node, load its (already slow-memory-
@@ -42,32 +39,5 @@ func (Baseline) Schedule(in *pebble.Instance) (*pebble.Strategy, error) {
 		s.Append(pebble.Delete(acts...))
 		p = (p + 1) % in.K
 	}
-	if g.N() == 0 {
-		return s, nil
-	}
 	return s, nil
-}
-
-// UpperBoundCost returns the Lemma 1 analytic upper bound
-// (g·(Δ_in+1)+1)·n for the instance.
-func UpperBoundCost(in *pebble.Instance) int64 {
-	return (int64(in.G)*int64(in.Graph.MaxInDegree()+1) + int64(in.ComputeCost)) * int64(in.N())
-}
-
-// LowerBoundCost returns the Lemma 1 analytic lower bound ⌈n/k⌉·computeCost
-// — with the paper's ComputeCost = 1 this is the ⌈n/k⌉ compute-move bound.
-func LowerBoundCost(in *pebble.Instance) int64 {
-	n := int64(in.N())
-	k := int64(in.K)
-	return (n + k - 1) / k * int64(in.ComputeCost)
-}
-
-// evictActions is a small helper used by several schedulers: build delete
-// actions for proc p over nodes vs.
-func evictActions(p int, vs []dag.NodeID) []pebble.Action {
-	acts := make([]pebble.Action, len(vs))
-	for i, v := range vs {
-		acts[i] = pebble.At(p, v)
-	}
-	return acts
 }

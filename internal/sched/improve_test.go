@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bounds"
 	"repro/internal/gen"
 	"repro/internal/pebble"
 )
@@ -226,7 +227,7 @@ func TestRandomRestartGreedy(t *testing.T) {
 	}
 	// Never worse than the best deterministic greedy by more than noise;
 	// often better. Just sanity-check it is within the Lemma 1 bounds.
-	if a.Cost > UpperBoundCost(in) || a.Cost < LowerBoundCost(in) {
+	if a.Cost > bounds.Lemma1Upper(in) || a.Cost < bounds.Lemma1Lower(in) {
 		t.Errorf("random greedy cost %d outside Lemma 1 bounds", a.Cost)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bounds"
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/pebble"
@@ -65,7 +66,7 @@ func TestAllSchedulersValidOnZoo(t *testing.T) {
 					t.Errorf("%s on %s (k=%d r=%d g=%d): %v", s.Name(), name, ps.k, r, ps.g, err)
 					continue
 				}
-				lo, hi := LowerBoundCost(in), UpperBoundCost(in)
+				lo, hi := bounds.Lemma1Lower(in), bounds.Lemma1Upper(in)
 				if rep.Cost < lo {
 					t.Errorf("%s on %s: cost %d below Lemma 1 lower bound %d", s.Name(), name, rep.Cost, lo)
 				}
@@ -192,7 +193,7 @@ func TestGreedyLemma3Bound(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			factor := 2 * (int64(in.G)*int64(g.MaxInDegree()+1) + 1)
-			bound := factor * LowerBoundCost(in)
+			bound := factor * bounds.Lemma1Lower(in)
 			if bound == 0 {
 				bound = factor
 			}
@@ -290,7 +291,7 @@ func TestQuickRandomDAGsAllSchedulers(t *testing.T) {
 				t.Logf("seed %d: %s failed: %v", seed, s.Name(), err)
 				return false
 			}
-			if rep.Cost < LowerBoundCost(in) || rep.Cost > UpperBoundCost(in) {
+			if rep.Cost < bounds.Lemma1Lower(in) || rep.Cost > bounds.Lemma1Upper(in) {
 				t.Logf("seed %d: %s cost %d outside bounds", seed, s.Name(), rep.Cost)
 				return false
 			}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -152,7 +153,8 @@ func (s *Scheduler) worker(ctx context.Context) {
 // run executes one queued job: claim it (skipping jobs canceled while
 // queued), derive the per-job context, solve through the shared cache,
 // and classify the outcome. A deadline or budget stop is StateDone with
-// a typed partial Result; only a Result-less failure is StateFailed.
+// a typed partial Result; only a Result-less failure, a panicking solve
+// included, is StateFailed.
 func (s *Scheduler) run(ctx context.Context, it item) {
 	claimed := false
 	_, err := s.store.Update(it.id, func(j *Job) {
@@ -178,7 +180,7 @@ func (s *Scheduler) run(ctx context.Context, it item) {
 	s.mu.Unlock()
 
 	start := time.Now()
-	res, serr := opt.SolveCached(jctx, it.in, it.cfg, s.cache)
+	res, serr := s.solve(jctx, it)
 	elapsed := time.Since(start)
 
 	s.mu.Lock()
@@ -209,4 +211,16 @@ func (s *Scheduler) run(ctx context.Context, it item) {
 		return
 	}
 	s.metrics.JobFinished(final, elapsed, true)
+}
+
+// solve runs one job's search through the shared cache and confines a
+// panic to the job: it comes back as an error with no Result, so the
+// job fails and the worker goes on serving the queue.
+func (s *Scheduler) solve(ctx context.Context, it item) (res *opt.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("server: solve panicked: %v", r)
+		}
+	}()
+	return opt.SolveCached(ctx, it.in, it.cfg, s.cache)
 }

@@ -54,14 +54,19 @@ echo "== bench module =="
 
 echo "== go test -race =="
 # The sharded exact solver (ModeAsync, opt.Config.Workers > 1) routes
-# states across shard goroutines over channels with an atomic
-# incumbent/budget — so internal/opt runs its FULL race suite (the
-# sharded-mode properties TestAsyncMatchesDeterministicZoo,
-# TestAsyncWitnessReplays, TestAsyncPartialBudgetBracket and
-# TestAsyncCancel, and the deterministic-mode contract
+# states across shard goroutines through mutex-guarded mailboxes, with
+# atomic quiescence counters and an atomic incumbent/budget — so
+# internal/opt runs its FULL race suite (the sharded-mode properties
+# TestAsyncMatchesDeterministicZoo, TestAsyncWitnessReplays,
+# TestAsyncPartialBudgetBracket, TestAsyncCancel and
+# TestAsyncStopLosesNoCandidate, and the deterministic-mode contract
 # TestExactWorkersMatchSequentialZoo, included). exp only fans out
 # coarse-grained experiment goroutines and stays -short.
 go test -race ./internal/opt/
+# A race in the termination protocol shows only on some schedules, so
+# the sharded-mode tests run five more times (-count=5 also bypasses the
+# test cache; ~50 s on 2 vCPUs).
+go test -race -run '^TestAsync' -count=5 ./internal/opt/
 # The solve cache is a shared mutex-guarded LRU hit by concurrent
 # solvers (and its fingerprint property tests are zoo-wide), so it runs
 # its full suite under -race too.
