@@ -42,6 +42,9 @@ func FromJSON(data []byte) (*Graph, error) {
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return nil, fmt.Errorf("dag: decoding JSON: %w", err)
 	}
+	if jg.N < 0 {
+		return nil, fmt.Errorf("dag: JSON node count %d is negative", jg.N)
+	}
 	b := NewBuilder(jg.Name)
 	b.AddNodes(jg.N)
 	for _, e := range jg.Edges {
@@ -123,8 +126,11 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if b != nil {
 				return nil, fmt.Errorf("dag: line %d: duplicate nodes directive", lineNo)
 			}
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("dag: line %d: nodes wants 1 argument", lineNo)
+			}
 			var n int
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || len(fields) != 2 {
+			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 {
 				return nil, fmt.Errorf("dag: line %d: bad nodes directive", lineNo)
 			}
 			b = NewBuilder(name)

@@ -52,6 +52,9 @@ func TestJSONErrors(t *testing.T) {
 	if _, err := FromJSON([]byte(`{"n": 2, "edges": [], "labels": [{"id": 9, "label": "x"}]}`)); err == nil {
 		t.Error("out-of-range label accepted")
 	}
+	if _, err := FromJSON([]byte(`{"n": -5, "edges": []}`)); err == nil {
+		t.Error("negative node count accepted")
+	}
 }
 
 func TestTextRoundTrip(t *testing.T) {
@@ -78,6 +81,9 @@ func TestReadTextErrors(t *testing.T) {
 		"",                  // missing nodes
 		"nodes x",           // bad count
 		"nodes 2\nedge 0 5", // out of range (caught at Build)
+		"nodes",             // no count
+		"nodes -3",          // negative count
+		"nodes 2 3",         // extra argument
 	}
 	for _, c := range cases {
 		if _, err := ReadText(strings.NewReader(c)); err == nil {

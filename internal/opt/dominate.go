@@ -25,49 +25,51 @@ package opt
 //
 // Layout. Settled states are indexed by a (blue, computed) hash in an
 // open-addressing side table. Each occupied slot holds its two key
-// words and the head of a chain of records. A record is one run of k+2
-// words in a single arena: the index of the next record in its chain,
-// the g-cost its state was settled at, and the state's k canonical red
-// words. A check walks its chain through that arena alone; it never
-// reads the state table's arena or the dist array.
+// words and the index of its run: one contiguous slice of records. A
+// record is k+1 words, the g-cost its state was settled at and the
+// state's k canonical red words, and a run keeps its records sorted by
+// cost, lowest first. A check reads its run front to back and stops at
+// the first record that is not cheaper than the candidate: strict
+// dominance can come neither from that record nor from any after it.
+// It never reads the state table's arena or the dist array.
 //
 // Front. Record A covers record E when cost(A) ≤ cost(E) and A's red
-// word is a superset of E's at every position. Every chain is kept a
-// Pareto front under covering: add skips a record that a chain entry
-// covers and unlinks the entries the new record covers, so no entry of
-// a chain covers another.
+// word is a superset of E's at every position. Every run is kept a
+// Pareto front under covering: add skips a record that a run entry
+// covers and compacts away the entries the new record covers, so no
+// entry of a run covers another.
 //
 // Why the front is exact. A covered record E answers a query (w, c)
 // "dominated" only when its cover A does too: cost(A) ≤ cost(E) < c and
 // w ⊆ E ⊆ A at every position. So dominated answers every query as a
 // scan of every record ever added would. The surviving set is the front
 // of everything settled, whatever the insertion order; identical records
-// tie, and ties give identical answers. Chain order changes how many
+// tie, and ties give identical answers. Run order changes how many
 // records a check visits, never what it answers.
 
 const domEmptySlot = int32(-1)
 
-// Record layout: word domNext holds the next record's index
-// (domEmptySlot ends the chain), word domCost the settle-time g-cost,
-// and the k red words follow from domReds.
+// Record layout: word domCost holds the settle-time g-cost, and the k
+// red words follow from domReds.
 const (
-	domNext = 0
-	domCost = 1
-	domReds = 2
+	domCost = 0
+	domReds = 1
 )
 
-// domIndex maps (blue, computed) → a Pareto-front chain of settled
-// records. The slot array is open-addressing with linear probing; each
-// occupied slot stores its 2-word key and the head of a singly linked
-// list threaded through the record arena.
+// domIndex maps (blue, computed) → a cost-sorted Pareto-front run of
+// settled records. The slot array is open-addressing with linear
+// probing; each occupied slot stores its 2-word key and its run's index.
 type domIndex struct {
-	slots []int32  // head record per slot, domEmptySlot when free
+	slots []int32  // run index per slot, domEmptySlot when free
 	keys  []uint64 // 2 words per slot: blue, computed
 	mask  uint64
-	used  int // occupied slots
 
-	stride int      // words per record: k+2
-	recs   []uint64 // record arena: record e occupies recs[e*stride:(e+1)*stride]
+	stride int // words per record: k+1
+	// runs[r] holds run r's records back to back, sorted by cost. There
+	// is one run per occupied slot; the runs past len are retired ones
+	// whose capacity the next new key reuses, which is what a pooled
+	// solver recycles.
+	runs [][]uint64
 }
 
 func newDomIndex(k int) *domIndex {
@@ -81,15 +83,14 @@ func newDomIndex(k int) *domIndex {
 }
 
 // reset empties the index for k red words per record while keeping the
-// slot array and record capacity, so a pooled solver's dominance index
-// is reusable across searches without reallocating.
+// slot array and every run's capacity, so a pooled solver's dominance
+// index is reusable across searches without reallocating.
 func (d *domIndex) reset(k int) {
 	for i := range d.slots {
 		d.slots[i] = domEmptySlot
 	}
-	d.used = 0
 	d.stride = k + domReds
-	d.recs = d.recs[:0]
+	d.runs = d.runs[:0]
 }
 
 // domHash mixes the two identity words (splitmix64-style finalizer).
@@ -105,80 +106,100 @@ func domHash(blue, computed uint64) uint64 {
 	return x
 }
 
-// bucket returns the head record of the chain for (blue, computed), or
-// domEmptySlot when no settled state has those words yet.
+// lookup returns the run of (blue, computed), empty when no settled
+// state has those words yet.
 //
 //mpp:hotpath
-func (d *domIndex) bucket(blue, computed uint64) int32 {
+func (d *domIndex) lookup(blue, computed uint64) []uint64 {
 	i := domHash(blue, computed) & d.mask
 	for {
-		h := d.slots[i]
-		if h == domEmptySlot {
-			return domEmptySlot
+		r := d.slots[i]
+		if r == domEmptySlot {
+			return nil
 		}
 		if d.keys[2*i] == blue && d.keys[2*i+1] == computed {
-			return h
+			return d.runs[r]
 		}
 		i = (i + 1) & d.mask
 	}
 }
 
-// rec returns record e's words.
+// open returns the index of the run of (blue, computed), giving a new
+// key an empty run: a retired one when one is held past len.
 //
 //mpp:hotpath
-func (d *domIndex) rec(e int32) []uint64 {
-	at := int(e) * d.stride
-	return d.recs[at : at+d.stride : at+d.stride]
-}
-
-// add settles a state: its record — g-cost and canonical red words —
-// joins the chain of its (blue, computed) key unless an entry covers
-// it, and the entries it covers leave the chain.
-//
-//mpp:hotpath
-func (d *domIndex) add(blue, computed uint64, cost int64, reds []uint64) {
-	if 4*(d.used+1) > 3*len(d.slots) {
+func (d *domIndex) open(blue, computed uint64) int32 {
+	if 4*(len(d.runs)+1) > 3*len(d.slots) {
 		d.grow()
 	}
 	i := domHash(blue, computed) & d.mask
 	for {
-		h := d.slots[i]
-		if h == domEmptySlot {
-			d.used++
-			d.keys[2*i] = blue
-			d.keys[2*i+1] = computed
+		r := d.slots[i]
+		if r == domEmptySlot {
 			break
 		}
 		if d.keys[2*i] == blue && d.keys[2*i+1] == computed {
-			break
+			return r
 		}
 		i = (i + 1) & d.mask
 	}
-	prev := domEmptySlot
-	for e := d.slots[i]; e != domEmptySlot; {
-		r := d.rec(e)
-		next := int32(r[domNext])
-		rc := int64(r[domCost])
-		if rc <= cost && redsCover(r, reds) {
-			// The front holds no entry the new record could cover as
-			// well (it would be covered by r), so nothing was unlinked.
+	r := int32(len(d.runs))
+	if len(d.runs) < cap(d.runs) {
+		d.runs = d.runs[:r+1]
+		d.runs[r] = d.runs[r][:0]
+	} else {
+		d.runs = append(d.runs, nil)
+	}
+	d.slots[i] = r
+	d.keys[2*i] = blue
+	d.keys[2*i+1] = computed
+	return r
+}
+
+// add settles a state: its record — g-cost and canonical red words —
+// joins the run of its (blue, computed) key at its cost-sorted position
+// unless an entry covers it, and the entries it covers leave the run.
+// One pass: the records cheaper than cost can only cover the new one,
+// and the rest, which cost at least as much, are compacted in place.
+//
+//mpp:hotpath
+func (d *domIndex) add(blue, computed uint64, cost int64, reds []uint64) {
+	ri := d.open(blue, computed)
+	run, s := d.runs[ri], d.stride
+	at := 0
+	for ; at < len(run) && int64(run[at+domCost]) < cost; at += s {
+		if redsCover(run[at:at+s:at+s], reds) {
 			return
 		}
-		if cost <= rc && redsCovered(r, reds) {
-			if prev == domEmptySlot {
-				d.slots[i] = next
-			} else {
-				d.rec(prev)[domNext] = uint64(next)
-			}
-		} else {
-			prev = e
-		}
-		e = next
 	}
-	e := int32(len(d.recs) / d.stride)
-	d.recs = append(d.recs, uint64(d.slots[i]), uint64(cost))
-	d.recs = append(d.recs, reds...)
-	d.slots[i] = e
+	keep := at
+	for j := at; j < len(run); j += s {
+		r := run[j : j+s : j+s]
+		if int64(r[domCost]) == cost && redsCover(r, reds) {
+			// Nothing was compacted away before this: a record the new
+			// one covers would be covered by r too, and the run is a
+			// front.
+			return
+		}
+		if redsCovered(r, reds) {
+			continue
+		}
+		if keep != j {
+			copy(run[keep:], r)
+		}
+		keep += s
+	}
+	// Open a record's room at the sorted position: the new record goes
+	// ahead of the kept records of equal or higher cost. Newest first
+	// among equal costs is only an order, not a rule of the front; on
+	// the benchmark's solves it reads 3–8% fewer records than oldest
+	// first (DESIGN.md §6).
+	run = append(run[:keep], reds...)
+	run = append(run, 0)
+	copy(run[at+s:], run[at:keep])
+	run[at+domCost] = uint64(cost)
+	copy(run[at+domReds:at+s], reds)
+	d.runs[ri] = run
 }
 
 // redsCover reports whether record r's red words are supersets of
@@ -207,9 +228,9 @@ func redsCovered(r, reds []uint64) bool {
 	return true
 }
 
-// grow doubles the slot array and reinserts every occupied slot's chain
-// head (record chains are untouched — only the slot they hang off
-// moves). Deliberately not a hot path: amortized over the fill factor.
+// grow doubles the slot array and reinserts every occupied slot's run
+// index (the runs are untouched — only the slot they hang off moves).
+// Deliberately not a hot path: amortized over the fill factor.
 func (d *domIndex) grow() {
 	oldSlots, oldKeys := d.slots, d.keys
 	n := 2 * len(oldSlots)
@@ -219,8 +240,8 @@ func (d *domIndex) grow() {
 	for i := range d.slots {
 		d.slots[i] = domEmptySlot
 	}
-	for i, h := range oldSlots {
-		if h == domEmptySlot {
+	for i, r := range oldSlots {
+		if r == domEmptySlot {
 			continue
 		}
 		blue, computed := oldKeys[2*i], oldKeys[2*i+1]
@@ -228,27 +249,41 @@ func (d *domIndex) grow() {
 		for d.slots[j] != domEmptySlot {
 			j = (j + 1) & d.mask
 		}
-		d.slots[j] = h
+		d.slots[j] = r
 		d.keys[2*j] = blue
 		d.keys[2*j+1] = computed
 	}
 }
 
+// arenaBytes is the capacity the index pins, retired runs included, for
+// the pool's retention cap.
+func (d *domIndex) arenaBytes() int64 {
+	b := int64(cap(d.slots))*4 + int64(cap(d.keys))*8 + int64(cap(d.runs))*sliceHdrBytes
+	for _, r := range d.runs[:cap(d.runs)] {
+		b += int64(cap(r)) * 8
+	}
+	return b
+}
+
 // dominated reports whether a settled record under (blue, computed)
 // strictly dominates a candidate with canonical red words reds at
 // g-cost cost: a strictly cheaper record whose red words cover reds at
-// every position. It also returns the number of records it visited.
+// every position. It also returns the number of records it visited,
+// the record whose cost ends the scan included.
 //
 //mpp:hotpath
 func (d *domIndex) dominated(blue, computed uint64, reds []uint64, cost int64) (bool, int) {
+	run, s := d.lookup(blue, computed), d.stride
 	visits := 0
-	for e := d.bucket(blue, computed); e != domEmptySlot; {
-		r := d.rec(e)
+	for at := 0; at < len(run); at += s {
+		r := run[at : at+s : at+s]
 		visits++
-		if int64(r[domCost]) < cost && redsCover(r, reds) {
+		if int64(r[domCost]) >= cost {
+			return false, visits
+		}
+		if redsCover(r, reds) {
 			return true, visits
 		}
-		e = int32(r[domNext])
 	}
 	return false, visits
 }

@@ -36,9 +36,14 @@ var solverPool sync.Pool
 // would pin its worst-case state table, queue and parent arrays on some
 // pooled solver for the rest of the process, re-offered to every later
 // solve however small. A solver past the cap is dropped on release and
-// the next acquire starts fresh. 8 MiB keeps every benchmark-sized
-// search pooled while letting million-state searches be reclaimed.
-// A variable, not a const, so pool_test.go can lower it.
+// the next acquire starts fresh. 8 MiB does not keep the benchmark's
+// exact solves pooled: fft2 at MPP(2,3,2) interns 456 901 states of
+// 32 B, ≈ 14.6 MB of table keys alone, and its solver pins ≈ 36 MB in
+// all, pyramid4's at MPP(1,4,2) ≈ 35 MB and grid3x3's at MPP(2,3,2)
+// ≈ 9.3 MB. Each of those solvers is dropped after its solve, and the
+// next solve regrows its arenas from empty; only smaller solves, such
+// as the experiment suite's, are recycled. A variable, not a const, so
+// pool_test.go can lower it.
 var maxPooledArenaBytes = int64(8 << 20)
 
 // Per-element sizes for arenaBytes, matching the arena element types.
@@ -63,8 +68,7 @@ func (s *solver) arenaBytes() int64 {
 	b += int64(cap(s.expandedMark)) + sliceHdrBytes
 	b += s.bq.arenaBytes()
 	if s.dom != nil {
-		b += int64(cap(s.dom.slots))*4 + int64(cap(s.dom.keys))*8
-		b += int64(cap(s.dom.recs)) * 8
+		b += s.dom.arenaBytes()
 	}
 	for _, r := range s.out[:cap(s.out)] {
 		b += r.arenaBytes()

@@ -23,8 +23,9 @@ import (
 // reachable state graph of the smallest instances and checks the
 // heuristics edge by edge against exact costs-to-go.
 //
-// OPT_SWEEP is read only here; scripts/verify.sh sets it in its own
-// step, outside -race.
+// OPT_SWEEP is read here and by TestDomIndexMatchesBruteForce
+// (dominate_test.go), which then runs 5 000 seeds; scripts/verify.sh
+// sets it in its own step, outside -race.
 
 // refLane is the width in bits of one node set in a packed reference
 // state, so a reference instance has at most refLane nodes.

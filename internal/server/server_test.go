@@ -363,6 +363,9 @@ func TestSubmitValidation(t *testing.T) {
 		// panicked the worker that ran it.
 		{"g beyond int32", `{"dag":"grid:2,2","k":1,"g":4611686018427387904}`},
 		{"compute cost beyond int32", `{"dag":"chain:3","k":1,"g":1,"compute_cost":2147483648}`},
+		// A negative node count once reached make in dag.Builder and
+		// panicked the handler: the client saw a dropped connection.
+		{"negative dag_json n", `{"dag_json":{"n":-1,"edges":[]},"k":1,"g":1}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -96,14 +96,15 @@ echo "== sched smoke (10^5-node instances) =="
 # test suite stays fast.
 SCHED_SMOKE=1 go test -run TestSchedSmoke -count=1 ./internal/sched/
 
-echo "== opt sweep (every DAG up to 5 nodes, ZeroIO up to 6) =="
+echo "== opt sweep (every DAG up to 5 nodes, ZeroIO up to 6, 5 000 dominance-index seeds) =="
 # The exhaustive gate on the exact search: every DAG up to five nodes
 # against an independent full-rule reference (the plain suite above
 # stops at four), the per-edge heuristic checks on the four-node state
-# graphs at k <= 2, and the zero-I/O decider on every DAG up to six
-# nodes at every r. About two minutes of wall time, gated behind
-# OPT_SWEEP and run here, outside -race.
-OPT_SWEEP=1 go test -run 'TestExactMatchesReference|TestHeuristicFullGraph|TestZeroIOMatchesReference' -count=1 ./internal/opt/
+# graphs at k <= 2, the zero-I/O decider on every DAG up to six nodes
+# at every r, and the dominance index against a brute-force scan on
+# 5 000 seeded record streams. About two minutes of wall time, gated
+# behind OPT_SWEEP and run here, outside -race.
+OPT_SWEEP=1 go test -run 'TestExactMatchesReference|TestHeuristicFullGraph|TestZeroIOMatchesReference|TestDomIndexMatchesBruteForce' -count=1 ./internal/opt/
 
 echo "== server e2e smoke =="
 # Exec-level proof of the solver-as-a-service contract: build the real
