@@ -85,3 +85,51 @@ func TestCacheDirDiskErrorWarning(t *testing.T) {
 		t.Errorf("healthy cache dir produced a warning:\n%s", stderr.String())
 	}
 }
+
+// TestExperimentsMarkdownPinned: EXPERIMENTS.md is a short header
+// followed by exactly what `mppexp -markdown` prints, from its "## E01"
+// line on. Every number in it is deterministic, so a change that moves
+// any experiment's output — an optimum, a state count, a bound — fails
+// here until the file is regenerated.
+func TestExperimentsMarkdownPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI build in -short mode")
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := strings.Index(string(doc), "\n## E01")
+	if at < 0 {
+		t.Fatal(`EXPERIMENTS.md has no "## E01" line`)
+	}
+	header := strings.Count(string(doc[:at+1]), "\n")
+	want := string(doc[at+1:])
+
+	bin := buildCLI(t)
+	cmd := exec.Command(bin, "-markdown")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("mppexp -markdown: %v\nstderr: %s", err, stderr.String())
+	}
+	if got := string(out); got != want {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+		line := 0
+		for line < len(gotLines) && line < len(wantLines) && gotLines[line] == wantLines[line] {
+			line++
+		}
+		var g, w string
+		if line < len(gotLines) {
+			g = gotLines[line]
+		}
+		if line < len(wantLines) {
+			w = wantLines[line]
+		}
+		t.Errorf("mppexp -markdown differs from EXPERIMENTS.md at its line %d:\n got: %q\nwant: %q\n"+
+			"if the change is meant, regenerate the file from the repository root with\n"+
+			"  { head -n %d EXPERIMENTS.md; go run ./cmd/mppexp -markdown; } > EXPERIMENTS.md.new && mv EXPERIMENTS.md.new EXPERIMENTS.md",
+			header+line+1, g, w, header)
+	}
+}

@@ -55,7 +55,10 @@ import (
 // Pruned and Strategy; Dominance now keys witness entries apart.
 // Version 5: the search's queue pops the deepest g first among equal f,
 // which changes States, Pruned, budget-stop brackets and witnesses.
-const keyVersion = 5
+// Version 6: the state table drops a duplicate before dominance is
+// checked, so Pruned counts only dominance rejections of new states and
+// cheaper paths; States, brackets and witnesses are unchanged.
+const keyVersion = 6
 
 // Key domain tags, so a complete-result key and a partial-bracket key of
 // the same instance can never collide.

@@ -184,6 +184,9 @@ func (t *Table) Insert(key []uint64) (idx int, existed bool) {
 		// The target slot moved; re-probe in the fresh slot array.
 		slot = t.freeSlot(h)
 	}
+	if len(t.keys)+t.wpk > cap(t.keys) {
+		t.growKeys()
+	}
 	t.keys = append(t.keys, key...)
 	t.slots[slot] = int32(t.tag(h) | uint32(n))
 	return n, false
@@ -196,6 +199,15 @@ func (t *Table) freeSlot(h uint64) uint64 {
 		slot = (slot + 1) & t.mask
 	}
 	return slot
+}
+
+// growKeys doubles the key arena's capacity. Left to append, a large
+// arena grows by about 1.25× a step, so a long search copies it several
+// times over. Cold: amortized over the doubling.
+func (t *Table) growKeys() {
+	keys := make([]uint64, len(t.keys), max(2*cap(t.keys), 16*t.wpk))
+	copy(keys, t.keys)
+	t.keys = keys
 }
 
 func (t *Table) rehash(newSize int) {

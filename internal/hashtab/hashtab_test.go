@@ -93,6 +93,30 @@ func TestTableGrowthAcrossResizes(t *testing.T) {
 	}
 }
 
+// TestTableKeyArenaDoubles: the key arena grows to exactly twice its
+// capacity, and to at least 16 keys, so a long search copies it
+// O(log n) times, where append's ~1.25× steps for large slices copy it
+// several times more.
+func TestTableKeyArenaDoubles(t *testing.T) {
+	for _, hint := range []int{0, 5, 1024} {
+		tab := New(3, hint)
+		grows := 0
+		for i := 0; i < 100_000; i++ {
+			before := cap(tab.keys)
+			tab.Insert([]uint64{uint64(i), 1, 2})
+			if c := cap(tab.keys); c != before {
+				if want := max(2*before, 16*3); c != want {
+					t.Fatalf("hint %d, key %d: arena grew from %d to %d words, want %d", hint, i, before, c, want)
+				}
+				grows++
+			}
+		}
+		if tab.Len() != 100_000 || grows > 15 {
+			t.Errorf("hint %d: %d keys after %d grows", hint, tab.Len(), grows)
+		}
+	}
+}
+
 // TestTableAdversarialLowEntropyKeys uses keys that differ only in high
 // bits and only in one word — the worst case for a plain FNV slot index —
 // and checks correctness survives the clustering.

@@ -27,7 +27,7 @@ package opt
 //
 //   - Re-expansion rule: a shard may expand a state before its final
 //     distance is known (speculation). When a later relaxation improves
-//     an already-expanded state's g, insert clears its expanded mark and
+//     an already-expanded state's g, relax clears its expanded mark and
 //     the state re-enters the queue to be expanded again with the better
 //     g (Result.ReExpanded counts these). Since every improving path is
 //     re-propagated, the usual A* invariant — when the global minimum
@@ -183,7 +183,7 @@ func (s *solver) expandEntry(ent bqEntry, f int64) bool {
 func (e *engine) run() (*Result, error) {
 	start := make([]uint64, stateWords(e.in.K))
 	owner := e.shards[e.ownerOf(start)]
-	idx, fresh := owner.insert(start, 0)
+	idx, fresh := owner.relax(start, 0)
 	e.startRef = stateRef{shard: owner.shard, idx: idx}
 	owner.enqueue(start, 0, idx, fresh)
 	if e.ctx.Err() != nil {

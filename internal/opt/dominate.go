@@ -10,11 +10,11 @@ package opt
 // extra cost: A holds a superset of every value B holds, replayed moves
 // stay legal (surplus red pebbles are deleted for free the moment a
 // processor would overflow its memory), and blue/computed evolve
-// identically — so dropping B before it is even hashed cannot lose the
-// optimum. The cheaper-cost condition must be *strict*: with ties the
-// delete-successors of a settled state (equal cost, subset reds) would
-// all be pruned against their own parent, severing the memory-freeing
-// moves the search needs. See DESIGN.md §6 for the full soundness sketch.
+// identically — so dropping B cannot lose the optimum. The cheaper-cost
+// condition must be *strict*: with ties the delete-successors of a
+// settled state (equal cost, subset reds) would all be pruned against
+// their own parent, severing the memory-freeing moves the search needs.
+// See DESIGN.md §6 for the full soundness sketch.
 //
 // Pruning runs alongside shade canonicalization, which every search
 // does: the subset test per canonical position is what makes the
@@ -22,6 +22,15 @@ package opt
 // a pruned state gets no parent edge, and the witness runs through its
 // dominator instead. "Settled" means expanded: solver.expandEntry adds
 // each state's record at the g it expands with (async.go).
+//
+// Where the check sits. solver.relax (exact.go), the one relaxation of
+// a candidate on its owning shard, probes the state table first and
+// drops a known state at a distance no greater than the candidate's
+// cost; only the candidates that survive that probe — new states and
+// cheaper paths to known ones — are checked here. Most candidates are
+// such duplicates, so the probe spares most scans, and Result.Pruned
+// counts only the rejections made here. A candidate survives only if it
+// passes both checks, so their order moves no answer.
 //
 // Layout. Settled states are indexed by a (blue, computed) hash in an
 // open-addressing side table. Each occupied slot holds its two key

@@ -89,9 +89,12 @@ type Result struct {
 	// dominance rejection) plus, in one-shot mode, distinct states the
 	// heuristic proved dead (counted once per dead state, on first
 	// insertion — dead-ness is a pure function of the state, so this
-	// share is order-independent). Zero when dominance is off and the
-	// instance is not one-shot. Deterministic on one shard, timing-
-	// dependent like States with ModeAsync at Workers > 1.
+	// share is order-independent). The state table drops a duplicate
+	// at no greater cost before dominance is checked, so the dominance
+	// share counts only new states and cheaper paths to known ones.
+	// Zero when dominance is off and the instance is not one-shot.
+	// Deterministic on one shard, timing-dependent like States with
+	// ModeAsync at Workers > 1.
 	Pruned int
 	// ReExpanded counts re-expansions: an expanded state reopened by a
 	// later, cheaper path and expanded again (each such expansion is also
@@ -164,6 +167,13 @@ func ExactWith(ctx context.Context, in *pebble.Instance, cfg Config) (*Result, e
 	return exact(ctx, in, cfg, nil)
 }
 
+// MaxExact is the largest node count, and the largest processor count,
+// that ExactWith accepts. A state packs one bit per node into each of
+// its k+2 words, and the search sizes its memory by k: the state table
+// alone starts at 1024·(k+2) words, so an unbounded k would let one
+// solve ask for gigabytes before its first expansion.
+const MaxExact = 62
+
 // exact runs the search. newTab overrides the per-shard state table
 // constructor (tests pass the map-backed hashtab.Ref oracle); nil
 // selects the open-addressing table. A constructor rather than an
@@ -181,8 +191,11 @@ func exact(ctx context.Context, in *pebble.Instance, cfg Config, newTab func() h
 		}
 		return res, nil
 	}
-	if n > 62 {
-		return nil, fmt.Errorf("opt: ExactWith supports at most 62 nodes, got %d", n)
+	if n > MaxExact {
+		return nil, fmt.Errorf("opt: ExactWith supports at most %d nodes, got %d", MaxExact, n)
+	}
+	if in.K > MaxExact {
+		return nil, fmt.Errorf("opt: ExactWith supports at most %d processors, got %d", MaxExact, in.K)
 	}
 	pooled := newTab == nil
 	if pooled {
@@ -324,13 +337,13 @@ func (s *solver) isGoal(w []uint64) bool {
 }
 
 // offer canonicalizes the candidate state in s.cand and routes it at
-// the given g-cost to its owning shard: applied immediately when this
+// the given g-cost to its owning shard: relaxed immediately when this
 // shard owns it, gathered into a run for the owner's mailbox otherwise.
 // Ownership hashes only the (blue, computed) words, so canonicalizing
 // first does not move the candidate across shards. The move is
 // materialized from (kind, choice) only in a witness solve — lazily
-// (only when the candidate improves) on the local path; eagerly when
-// crossing shards, since the scratch choice vector cannot travel.
+// (only when relax accepts the candidate) on the local path; eagerly
+// when crossing shards, since the scratch choice vector cannot travel.
 //
 //mpp:hotpath
 func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
@@ -341,11 +354,7 @@ func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 			return
 		}
 	}
-	if s.cfg.Dominance && s.dominated(s.cand, cost) {
-		s.pruned++
-		return
-	}
-	idx, fresh := s.insert(s.cand, cost)
+	idx, fresh := s.relax(s.cand, cost)
 	if idx < 0 {
 		return
 	}
@@ -355,17 +364,13 @@ func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 	s.enqueue(s.cand, cost, idx, fresh)
 }
 
-// applyRemote applies one candidate received from another shard — the
+// applyRemote relaxes one candidate received from another shard — the
 // deferred half of offer, run when the owner applies its mailbox. The
 // words slice aliases the run's buffer; Insert copies it.
 //
 //mpp:hotpath
 func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.Move) {
-	if s.cfg.Dominance && s.dominated(w, cost) {
-		s.pruned++
-		return
-	}
-	idx, fresh := s.insert(w, cost)
+	idx, fresh := s.relax(w, cost)
 	if idx < 0 {
 		return
 	}
@@ -375,11 +380,22 @@ func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.
 	s.enqueue(w, cost, idx, fresh)
 }
 
-// insert interns the candidate words and relaxes its distance, growing
-// the per-state arrays on first sight. Returns the state index and
-// whether the state was fresh (first time seen), or idx -1 when the
-// candidate does not improve the known distance (the rejected path
-// allocates nothing — Insert on a present key is allocation-free).
+// relax is the one relaxation of a candidate — words w at g-cost cost —
+// on its owning shard, in three steps:
+//
+//  1. Probe the state table. A known state at a distance no greater
+//     than cost rejects the candidate at once: most candidates are such
+//     duplicates, and the table drops them for one probe.
+//  2. Only then check dominance (see dominate.go); Pruned counts its
+//     rejections, which are new states and cheaper paths only.
+//  3. Intern a new state, growing the per-state arrays, or lower a known
+//     state's distance.
+//
+// A candidate survives only if it passes both checks, so their order
+// moves no surviving relaxation; it only sets how many dominance records
+// are read. Returns the state index and whether the state is new, or
+// idx -1 when the candidate is rejected (a rejection allocates nothing).
+// A miss probes the table twice, in Find and in Insert.
 //
 // An improving relaxation of an already-expanded state reopens it (the
 // re-expansion rule, see async.go): the expanded mark is cleared so the
@@ -387,12 +403,16 @@ func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.
 // triggers it; one shard expands every state at its final distance.
 //
 //mpp:hotpath
-func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
-	idx, existed := s.tab.Insert(w)
-	if existed {
-		if s.dist[idx] <= cost {
-			return -1, false
-		}
+func (s *solver) relax(w []uint64, cost int64) (int32, bool) {
+	idx, known := s.tab.Find(w)
+	if known && s.dist[idx] <= cost {
+		return -1, false
+	}
+	if s.cfg.Dominance && s.dominated(w, cost) {
+		s.pruned++
+		return -1, false
+	}
+	if known {
 		s.dist[idx] = cost
 		if s.expandedMark[idx] {
 			s.expandedMark[idx] = false
@@ -400,6 +420,7 @@ func (s *solver) insert(w []uint64, cost int64) (int32, bool) {
 		}
 		return int32(idx), false
 	}
+	idx, _ = s.tab.Insert(w)
 	s.dist = append(s.dist, cost)
 	s.expandedMark = append(s.expandedMark, false)
 	if s.cfg.Witness {

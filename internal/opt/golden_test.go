@@ -21,7 +21,10 @@ const goldenBudget = 1_000_000
 // the heuristics, dominance pruning, twin canonicalization or expansion
 // order shows up here as a moved count. The counts are pinned, not
 // bounded: a deliberate improvement updates this table in the same
-// change that earns it.
+// change that earns it. Pruned counts dominance rejections of new
+// states and cheaper paths only, since the state table drops a
+// duplicate at no greater cost before dominance is checked, plus the
+// dead states of one-shot searches.
 //
 // Every exact row but the /async ones runs in ModeDeterministic, on one
 // shard; its counts are the same at every Workers setting. The /async
@@ -63,23 +66,23 @@ func TestGoldenStates(t *testing.T) {
 		states int
 		pruned int
 	}{
-		{"grid3x3-k1/default", grid3x3, def, 9, 14, 1},
-		{"grid3x3-k2/default", grid3x3k2, def, 11, 39_314, 42_631},
-		{"grid3x3-k2/async", grid3x3k2, async, 11, 39_314, 42_631},
-		{"grid2x3-k2/default", grid2x3, def, 6, 92, 57},
+		{"grid3x3-k1/default", grid3x3, def, 9, 14, 0},
+		{"grid3x3-k2/default", grid3x3k2, def, 11, 39_314, 9},
+		{"grid3x3-k2/async", grid3x3k2, async, 11, 39_314, 9},
+		{"grid2x3-k2/default", grid2x3, def, 6, 92, 0},
 		{"grid2x3-k2/floor", grid2x3, floorCfg, 6, 412, 0},
 		{"grid2x3-k2/io", grid2x3, ioCfg, 6, 240, 0},
 		{"grid2x3-k2/max", grid2x3, maxCfg, 6, 240, 0},
-		{"grid2x3-k2/async", grid2x3, async, 6, 92, 57},
-		{"grid2x3-k2/witness", grid2x3, witness, 6, 92, 57},
-		{"zipper2x3-k1-g5/default", zipper, def, 9, 45, 22},
+		{"grid2x3-k2/async", grid2x3, async, 6, 92, 0},
+		{"grid2x3-k2/witness", grid2x3, witness, 6, 92, 0},
+		{"zipper2x3-k1-g5/default", zipper, def, 9, 45, 0},
 		{"zipper2x3-k1-g5/floor", zipper, floorCfg, 9, 207, 0},
 		{"zipper2x3-k1-g5/io", zipper, ioCfg, 9, 76, 0},
 		{"zipper2x3-k1-g5/max", zipper, maxCfg, 9, 76, 0},
-		{"zipper2x3-k1-g5/async", zipper, async, 9, 45, 22},
-		{"zipper2x3-k1-g5/witness", zipper, witness, 9, 45, 22},
-		{"pyramid4-k1/default", pyramid4, def, 23, 178_259, 224_800},
-		{"fft2-k2/default", fft2, def, 12, 154_683, 289_103},
+		{"zipper2x3-k1-g5/async", zipper, async, 9, 45, 0},
+		{"zipper2x3-k1-g5/witness", zipper, witness, 9, 45, 0},
+		{"pyramid4-k1/default", pyramid4, def, 23, 178_259, 0},
+		{"fft2-k2/default", fft2, def, 12, 154_683, 388},
 	}
 	for _, row := range exactRows {
 		t.Run(row.name, func(t *testing.T) {

@@ -116,7 +116,7 @@ func (s *solver) initDerived() {
 }
 
 // h dispatches on the configured mode. A negative return is the
-// dead-state sentinel (one-shot only); relax drops such candidates.
+// dead-state sentinel (one-shot only); enqueue drops such candidates.
 //
 //mpp:hotpath
 func (s *solver) h(w []uint64) int64 {
@@ -281,15 +281,17 @@ func (s *solver) chainLen(uncomputed uint64) int {
 // RootLowerBound evaluates the selected heuristic at the empty start
 // configuration — an admissible lower bound on OPT obtained without
 // expanding a single state. Experiment tables use it to tighten the
-// lower end of anytime brackets. For instances beyond the 62-node
-// packed-state limit it falls back to the equivalent structural bound
-// from the bounds package (identical at the root by construction).
+// lower end of anytime brackets. For instances beyond ExactWith's
+// limits (MaxExact nodes or processors), where a packed start state
+// would be too wide or too large, it falls back to the equivalent
+// structural bound from the bounds package (identical at the root by
+// construction), which allocates nothing per processor.
 func RootLowerBound(in *pebble.Instance, mode HeuristicMode) int64 {
 	n := in.Graph.N()
 	if n == 0 {
 		return 0
 	}
-	if n > 62 {
+	if n > MaxExact || in.K > MaxExact {
 		if mode == HeuristicFloor {
 			return bounds.Lemma1Lower(in)
 		}

@@ -3,7 +3,9 @@ package opt
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -237,6 +239,37 @@ func TestExactEmptyAndTooBig(t *testing.T) {
 	// ZeroIO auto-dispatches beyond the word cap instead of refusing.
 	if res, err := ZeroIO(context.Background(), big, 2, budget); err != nil || !res.Feasible {
 		t.Fatalf("ZeroIO on 63 nodes should dispatch to bitset variant: %v %v", res, err)
+	}
+}
+
+// TestExactTooManyProcessors: the search sizes its memory by k (a
+// budget-1 solve of grid 2×2 allocated 83 MB at k = 10⁴), so ExactWith
+// refuses k beyond MaxExact as it refuses n, and the root bound answers
+// a huge k from the structural bound, which allocates nothing per
+// processor. At k = MaxExact the two bounds agree.
+func TestExactTooManyProcessors(t *testing.T) {
+	g := gen.Grid2D(2, 2)
+	in := pebble.MustInstance(g, pebble.MPP(MaxExact+1, 3, 1))
+	if res, err := exactSeq(in, 1); err == nil || res != nil {
+		t.Fatalf("k = %d accepted: %+v, %v", MaxExact+1, res, err)
+	}
+	edge := pebble.MustInstance(g, pebble.MPP(MaxExact, 3, 1))
+	if got, want := RootLowerBound(edge, HeuristicMax), bounds.StructuralLower(edge); got != want {
+		t.Errorf("k = %d: RootLowerBound = %d, StructuralLower = %d", MaxExact, got, want)
+	}
+	huge := pebble.MustInstance(g, pebble.MPP(math.MaxInt32, 3, 1))
+	if got, want := RootLowerBound(huge, HeuristicMax), bounds.StructuralLower(huge); got != want {
+		t.Errorf("k = 2³¹−1: RootLowerBound = %d, StructuralLower = %d", got, want)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		RootLowerBound(huge, HeuristicMax)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+		t.Errorf("k = 2³¹−1: RootLowerBound allocated %d B per call, want < 1 KB", per)
 	}
 }
 

@@ -42,8 +42,12 @@ var solverPool sync.Pool
 // all, pyramid4's at MPP(1,4,2) ≈ 35 MB and grid3x3's at MPP(2,3,2)
 // ≈ 9.3 MB. Each of those solvers is dropped after its solve, and the
 // next solve regrows its arenas from empty; only smaller solves, such
-// as the experiment suite's, are recycled. A variable, not a const, so
-// pool_test.go can lower it.
+// as the experiment suite's, are recycled. A 64 MiB cap would keep them
+// all: on a 2-vCPU box, in three alternating bench/run.sh pairs,
+// solve-hard's pass_s fell another 5.6% (1.545 → 1.458 s) but its peak
+// RSS rose from 77 to 121 MB, past the benchmark's 25% bound, so the
+// cap stays at 8 MiB. A variable, not a const, so pool_test.go can
+// lower it.
 var maxPooledArenaBytes = int64(8 << 20)
 
 // Per-element sizes for arenaBytes, matching the arena element types.

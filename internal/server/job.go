@@ -70,9 +70,15 @@ func (req *SubmitRequest) Build() (*pebble.Instance, opt.Config, time.Duration, 
 	if err != nil {
 		return nil, cfg, 0, err
 	}
+	if n := g.N(); n > opt.MaxExact {
+		return nil, cfg, 0, fmt.Errorf("dag has %d nodes; the exact solver takes at most %d", n, opt.MaxExact)
+	}
 	k := req.K
 	if k == 0 {
 		k = 1
+	}
+	if k > opt.MaxExact {
+		return nil, cfg, 0, fmt.Errorf("k = %d; the exact solver takes at most %d processors", k, opt.MaxExact)
 	}
 	r := req.R
 	if r == 0 {

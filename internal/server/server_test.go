@@ -366,6 +366,19 @@ func TestSubmitValidation(t *testing.T) {
 		// A negative node count once reached make in dag.Builder and
 		// panicked the handler: the client saw a dropped connection.
 		{"negative dag_json n", `{"dag_json":{"n":-1,"edges":[]},"k":1,"g":1}`},
+		// The exact solver sizes its memory by k: unbounded, k = 10⁶
+		// would ask a worker for ~8 GB, and k = 2³¹−1 the handler's root
+		// bound for ~17 GB. Past 62 nodes a job was accepted, then
+		// failed in the worker.
+		{"k beyond 62", `{"dag":"grid:2,2","k":63,"g":1}`},
+		{"k at int32 max", `{"dag":"grid:2,2","k":2147483647,"g":1}`},
+		{"n beyond 62", `{"dag":"chain:63","k":1,"g":1}`},
+	}
+	// The limits' errors name them.
+	says := map[string]string{
+		"k beyond 62":    "at most 62 processors",
+		"k at int32 max": "at most 62 processors",
+		"n beyond 62":    "at most 62",
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -380,6 +393,9 @@ func TestSubmitValidation(t *testing.T) {
 			var env map[string]string
 			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env["error"] == "" {
 				t.Fatalf("missing error envelope: %v", err)
+			}
+			if !strings.Contains(env["error"], says[c.name]) {
+				t.Errorf("error %q does not say %q", env["error"], says[c.name])
 			}
 		})
 	}
