@@ -125,7 +125,7 @@ func (c client) submit(args []string) {
 	oneShot := fs.Bool("one-shot", false, "forbid recomputation (one-shot variant)")
 	maxStates := fs.Int("max-states", 0, "state budget (0 = unbounded); exceeding it yields a typed partial result")
 	heuristic := fs.String("heuristic", "", `heuristic stack: "floor", "io" or "max" (default max)`)
-	dominance := fs.Bool("dominance", true, "dominance pruning")
+	dominance := fs.Bool("dominance", true, "lazy deletion: delete red pebbles only on full processors")
 	witness := fs.Bool("witness", false, "reconstruct an optimal strategy in the result")
 	timeoutMS := fs.Int64("timeout-ms", 0, "per-job wall-clock deadline in ms (0 = none); expiring yields a typed partial result")
 	doWait := fs.Bool("wait", false, "poll until the job is terminal and print the final status")

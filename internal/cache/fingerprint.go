@@ -58,7 +58,11 @@ import (
 // Version 6: the state table drops a duplicate before dominance is
 // checked, so Pruned counts only dominance rejections of new states and
 // cheaper paths; States, brackets and witnesses are unchanged.
-const keyVersion = 6
+// Version 7: the search prunes no candidate against a settled state
+// (Dominance selects only lazy deletion), so Pruned counts only
+// one-shot dead states, and where the index used to prune, as in
+// one-shot solves at k ≥ 2, States, brackets and witnesses can differ.
+const keyVersion = 7
 
 // Key domain tags, so a complete-result key and a partial-bracket key of
 // the same instance can never collide.
@@ -93,7 +97,8 @@ type SolverConfig struct {
 	// Heuristic is the admissible bound stack the search runs under
 	// (opt.HeuristicMode's underlying value).
 	Heuristic uint8
-	// Dominance enables strictly-dominated-candidate pruning.
+	// Dominance selects the lazy-deletion normal form (deletes on full
+	// processors only).
 	Dominance bool
 	// Witness requests move-sequence reconstruction.
 	Witness bool

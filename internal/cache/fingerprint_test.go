@@ -231,10 +231,10 @@ func TestPartialKeyDomain(t *testing.T) {
 func TestKeyGolden(t *testing.T) {
 	in := pebble.MustInstance(gen.Grid2D(2, 3), pebble.MPP(2, 3, 2))
 	sc := SolverConfig{Heuristic: 2, Dominance: true, MaxStates: 1000}
-	if got, want := KeyOf(in, sc).String(), "bee9226f6a2d678782e1b56b551a8d2b"; got != want {
+	if got, want := KeyOf(in, sc).String(), "a7e72f1c1986368f2d4b1d7722b772aa"; got != want {
 		t.Errorf("KeyOf = %s, want %s", got, want)
 	}
-	if got, want := PartialKeyOf(in, sc).String(), "d9ea6130eff3ce9de69bd485b6a1d096"; got != want {
+	if got, want := PartialKeyOf(in, sc).String(), "8ab0584ad6c68138590d86f9a2eb1590"; got != want {
 		t.Errorf("PartialKeyOf = %s, want %s", got, want)
 	}
 }

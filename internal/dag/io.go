@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 )
@@ -36,7 +37,9 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jg)
 }
 
-// FromJSON decodes a graph previously encoded with MarshalJSON.
+// FromJSON decodes a graph previously encoded with MarshalJSON. A node
+// count outside [0, 2³¹−1], the NodeID range, is an error, returned
+// before any per-node allocation.
 func FromJSON(data []byte) (*Graph, error) {
 	var jg jsonGraph
 	if err := json.Unmarshal(data, &jg); err != nil {
@@ -44,6 +47,9 @@ func FromJSON(data []byte) (*Graph, error) {
 	}
 	if jg.N < 0 {
 		return nil, fmt.Errorf("dag: JSON node count %d is negative", jg.N)
+	}
+	if jg.N > math.MaxInt32 {
+		return nil, fmt.Errorf("dag: JSON node count %d exceeds the 2^31-1 NodeID limit", jg.N)
 	}
 	b := NewBuilder(jg.Name)
 	b.AddNodes(jg.N)
@@ -130,7 +136,7 @@ func ReadText(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("dag: line %d: nodes wants 1 argument", lineNo)
 			}
 			var n int
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 {
+			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 || n > math.MaxInt32 {
 				return nil, fmt.Errorf("dag: line %d: bad nodes directive", lineNo)
 			}
 			b = NewBuilder(name)

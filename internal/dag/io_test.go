@@ -55,6 +55,11 @@ func TestJSONErrors(t *testing.T) {
 	if _, err := FromJSON([]byte(`{"n": -5, "edges": []}`)); err == nil {
 		t.Error("negative node count accepted")
 	}
+	// One past the NodeID range: rejected before AddNodes, which would
+	// otherwise allocate 8 GB of IDs and then panic in AddNode.
+	if _, err := FromJSON([]byte(`{"n": 2147483648, "edges": []}`)); err == nil || !strings.Contains(err.Error(), "2^31-1") {
+		t.Errorf("node count 2^31: err %v, want the NodeID limit named", err)
+	}
 }
 
 func TestTextRoundTrip(t *testing.T) {
@@ -83,6 +88,7 @@ func TestReadTextErrors(t *testing.T) {
 		"nodes 2\nedge 0 5", // out of range (caught at Build)
 		"nodes",             // no count
 		"nodes -3",          // negative count
+		"nodes 2147483648",  // past the NodeID range, refused before AddNodes
 		"nodes 2 3",         // extra argument
 	}
 	for _, c := range cases {

@@ -103,7 +103,7 @@ func E14HardClasses(ctx context.Context, cfg Config) (*Table, error) {
 }
 
 // e14Cfg pins E14's exact runs to the bare compute floor without
-// dominance pruning: the experiment's point is how fast the *raw* search
+// lazy deletion: the experiment's point is how fast the *raw* search
 // space grows on the NP-hard classes, so the stronger default stack
 // would measure the pruning instead of the hardness. (Partial rows still
 // print brackets tightened by the max heuristic via exactInCfg.)

@@ -125,13 +125,14 @@ func TestExactAnytimeCancel(t *testing.T) {
 	}
 }
 
-// TestExactDeadlineInsideExpansion: one expansion with 24 empty shades
-// enumerates 2^24 maximal compute selections (OPT is 2, from two chains
-// computed in parallel), which runs for many seconds. A 100 ms deadline
-// must stop the solve inside that expansion, well within a second, with
-// a sound bracket.
+// TestExactDeadlineInsideExpansion: the first expansion of 20 isolated
+// nodes on 12 empty shades offers every multiset of 12 of the 20
+// sources, C(31,12) ≈ 1.4·10⁸ distinct maximal compute selections (OPT
+// is 2: 12 nodes, then the other 8), which runs for many seconds. A
+// 100 ms deadline must stop the solve inside that expansion, well
+// within a second, with a sound bracket.
 func TestExactDeadlineInsideExpansion(t *testing.T) {
-	in := pebble.MustInstance(gen.IndependentChains(2, 2), pebble.MPP(24, 3, 1))
+	in := pebble.MustInstance(gen.IndependentChains(20, 1), pebble.MPP(12, 3, 1))
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -148,7 +149,7 @@ func TestExactDeadlineInsideExpansion(t *testing.T) {
 	if res.LowerBound < 0 || res.LowerBound > 2 {
 		t.Errorf("LowerBound %d outside [0, OPT=2]", res.LowerBound)
 	}
-	incumbentOK(t, "k=24 deadline", res, 2)
+	incumbentOK(t, "k=12 deadline", res, 2)
 }
 
 // TestExactOraclePartialEquivalence locks the anytime trajectory itself

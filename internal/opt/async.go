@@ -12,13 +12,12 @@ package opt
 // keeps the search depth-first across an f-plateau: the deepest open
 // state is expanded first, so the first goal (and with it incumbent
 // pruning) comes after a short walk of the f = OPT plateau rather than
-// a sweep of it (statetable.go). Each expanded state is
-// settled into the dominance index at once, at the g it expanded with.
-// The run ends when no live entry below the incumbent is left: its
-// first park proves quiescence, and the incumbent is the optimum. A
-// consistent heuristic expands every state at its final distance, so a
-// one-shard run never re-expands (TestHeuristicConsistencyZoo checks
-// ReExpanded == 0 for every heuristic mode).
+// a sweep of it (statetable.go). The run ends when no live entry below
+// the incumbent is left: its first park proves quiescence, and the
+// incumbent is the optimum. A consistent heuristic expands every state
+// at its final distance, so a one-shard run never re-expands
+// (TestHeuristicConsistencyZoo checks ReExpanded == 0 for every
+// heuristic mode).
 //
 // W > 1 shards make that loop speculative HDA*, with no barriers: each
 // shard loops pop → expand → route at full speed on whatever its queue
@@ -41,12 +40,11 @@ package opt
 //     definition, has no live entry below the incumbent), which is the
 //     A* optimality proof.
 //
-// Dominance pruning stays sound: a state is settled at every expansion,
-// at the g it was expanded with. A re-expansion at a lower g adds a
-// record that covers, and so unlinks, the state's older one; the
-// strict-inequality test only ever compares against a g some path
-// really reached, so pruning never removes a state whose completions
-// cannot be simulated (dominate.go).
+// The search prunes no candidate against another state: a candidate is
+// rejected only when its own state is known at a distance no greater
+// than its cost (solver.relax). What keeps the space small is the move
+// set, the lazy-deletion and maximal-move normal forms (expand), which
+// hold on every shard alike.
 //
 // Quiescence detection — the busy/inflight/activity protocol:
 //
@@ -151,12 +149,6 @@ func (s *solver) expandEntry(ent bqEntry, f int64) bool {
 		return false
 	}
 	s.expandedMark[ent.idx] = true
-	if s.cfg.Dominance {
-		// Settle at every expansion, at its g: a reopened state's
-		// cheaper record replaces its older one in the index.
-		k := s.in.K
-		s.dom.add(s.cur[k], s.cur[k+1], ent.g, s.cur[:k])
-	}
 	s.curIdx = ent.idx
 	if !s.expand(ent.g) {
 		// ctx stopped the expansion part-way. The entry goes back

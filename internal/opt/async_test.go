@@ -195,8 +195,8 @@ func TestAsyncCancel(t *testing.T) {
 
 // TestAsyncStopLosesNoCandidate checks the exchange's books after every
 // way a sharded run can end: complete, stopped by budgets 1, 2, 10 and
-// 100, and canceled while it runs. It drives newEngine directly, as
-// exactVisits does, so the engine can be inspected after run returns:
+// 100, and canceled while it runs. It drives newEngine directly, so the
+// engine can be inspected after run returns:
 // by then every shipped candidate must sit in its owner's queue, with
 // inflight at 0 and every mailbox and outgoing run empty. A candidate
 // left behind would be missing from the frontier the anytime LowerBound

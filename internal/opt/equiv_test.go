@@ -126,7 +126,7 @@ func TestExactModesMatchOracleZoo(t *testing.T) {
 }
 
 // TestExactModesAgreeOnOptimum asserts that every heuristic mode, with
-// and without dominance pruning, proves the same optimum on the zoo —
+// and without lazy deletion, proves the same optimum on the zoo —
 // and that witness runs per mode replay to that same cost. States
 // expanded may (and should) differ across modes; the optimum may not.
 // Within a mode the witness is output only: the witness Result, its

@@ -29,7 +29,7 @@
 // HDA*-style: the optimum stays exact, but expansion counts and traces
 // become timing-dependent.
 //
-// Solver arenas (table, queue, dominance index, scratch) are recycled
+// Solver arenas (table, queue, per-state arrays, scratch) are recycled
 // through a package-level pool across searches (see pool.go), so
 // callers solving many instances back to back reuse them automatically.
 package opt
@@ -84,17 +84,12 @@ type Result struct {
 	// replays to the incumbent cost, not the optimum.
 	Strategy *pebble.Strategy
 
-	// Pruned counts candidates the search discarded instead of queuing:
-	// states strictly dominated by a settled state (one count per
-	// dominance rejection) plus, in one-shot mode, distinct states the
-	// heuristic proved dead (counted once per dead state, on first
-	// insertion — dead-ness is a pure function of the state, so this
-	// share is order-independent). The state table drops a duplicate
-	// at no greater cost before dominance is checked, so the dominance
-	// share counts only new states and cheaper paths to known ones.
-	// Zero when dominance is off and the instance is not one-shot.
-	// Deterministic on one shard, timing-dependent like States with
-	// ModeAsync at Workers > 1.
+	// Pruned counts the distinct states a one-shot search interned but
+	// never queued because the heuristic proved them dead, once per dead
+	// state, on first insertion: dead-ness is a pure function of the
+	// state, so the count does not depend on the path that reached it.
+	// Zero when the instance is not one-shot. Deterministic on one
+	// shard, timing-dependent like States with ModeAsync at Workers > 1.
 	Pruned int
 	// ReExpanded counts re-expansions: an expanded state reopened by a
 	// later, cheaper path and expanded again (each such expansion is also
@@ -107,8 +102,9 @@ type Result struct {
 }
 
 // Config selects the search variant. The zero value is a valid
-// no-frills configuration (max heuristic, no dominance, no witness, no
-// state budget, deterministic); most callers want DefaultConfig.
+// no-frills configuration (max heuristic, deletes on every processor,
+// no witness, no state budget, deterministic); most callers want
+// DefaultConfig.
 type Config struct {
 	// MaxStates bounds the number of states expanded (summed across
 	// shards); exceeding it stops the search with a partial Result and
@@ -118,8 +114,9 @@ type Config struct {
 	// Heuristic selects the admissible bound stack (zero value:
 	// HeuristicMax, the strongest).
 	Heuristic HeuristicMode
-	// Dominance enables pruning of strictly dominated candidates (and,
-	// with it, the lazy-deletion normal form; see dominate.go).
+	// Dominance selects the lazy-deletion normal form: delete moves are
+	// generated only on full processors (see expand). The name is the
+	// rule's history: it is the one dominance rule the search keeps.
 	Dominance bool
 	// Witness requests reconstruction of one optimal move sequence. It
 	// is an output switch only: the search is the one the other fields
@@ -141,7 +138,7 @@ type Config struct {
 }
 
 // DefaultConfig is the fastest sound setup: the max heuristic with
-// dominance pruning, on one shard. Set Mode to ModeAsync to shard the
+// lazy deletion, on one shard. Set Mode to ModeAsync to shard the
 // search across Workers (0, the default, means GOMAXPROCS).
 func DefaultConfig(maxStates int) Config {
 	return Config{MaxStates: maxStates, Heuristic: HeuristicMax, Dominance: true}
@@ -150,14 +147,15 @@ func DefaultConfig(maxStates int) Config {
 // ExactWith computes the exact optimum pebbling cost of the instance by
 // A* search over configurations under cfg. With DefaultConfig that is
 // the max of the compute-floor and I/O-aware admissible heuristics (see
-// heuristic.go) plus dominance pruning (see dominate.go); processor
-// shades are always canonicalized, so symmetric configurations collapse,
-// and cfg.Witness only adds the rebuilt move sequence. cfg.MaxStates
-// bounds the number of states expanded; exceeding it returns a partial
-// Result plus an error wrapping ErrBudget. The search polls ctx, inside
-// an expansion too, and likewise stops with a partial Result and an
-// error wrapping ctx.Err() when it is canceled or its deadline passes
-// (see Result for the anytime contract).
+// heuristic.go) plus the lazy-deletion normal form (see expand);
+// processor shades are always canonicalized, so symmetric
+// configurations collapse, and cfg.Witness only adds the rebuilt move
+// sequence. cfg.MaxStates bounds the number of states expanded;
+// exceeding it returns a partial Result plus an error wrapping
+// ErrBudget. The search polls ctx, inside an expansion too, and
+// likewise stops with a partial Result and an error wrapping ctx.Err()
+// when it is canceled or its deadline passes (see Result for the
+// anytime contract).
 //
 // ExactWith handles every Params combination: multiprocessor parallel
 // moves, zero compute costs (classic SPP, where Dijkstra's
@@ -225,8 +223,8 @@ type parentEdge struct {
 
 // solver is one shard's worker state: it owns a contiguous partition of
 // the hash-sharded state space — its own table arena, distance and
-// parent arrays, bucket queue and dominance index — and exchanges only
-// runs of candidates (see parallel.go) with other shards. With one
+// parent arrays and bucket queue — and exchanges only runs of
+// candidates (see parallel.go) with other shards. With one
 // worker there is exactly one solver holding the whole space.
 type solver struct {
 	in  *pebble.Instance
@@ -254,9 +252,7 @@ type solver struct {
 	// equal-cost paths must not expand twice). The mark is cleared
 	// again when a cheaper path reopens the state.
 	expandedMark []bool
-	dom          *domIndex
-	domVisits    int // dominance records visited by dominated (tests pin it)
-	pruned       int
+	pruned       int // distinct dead states (one-shot)
 	reopened     int // expanded states reopened by a better g
 	ticks        int // expansions and product candidates, for ctx-poll throttling
 
@@ -339,11 +335,10 @@ func (s *solver) isGoal(w []uint64) bool {
 // offer canonicalizes the candidate state in s.cand and routes it at
 // the given g-cost to its owning shard: relaxed immediately when this
 // shard owns it, gathered into a run for the owner's mailbox otherwise.
-// Ownership hashes only the (blue, computed) words, so canonicalizing
-// first does not move the candidate across shards. The move is
-// materialized from (kind, choice) only in a witness solve — lazily
-// (only when relax accepts the candidate) on the local path; eagerly
-// when crossing shards, since the scratch choice vector cannot travel.
+// The move is materialized from (kind, choice) only in a witness solve
+// — lazily (only when relax accepts the candidate) on the local path;
+// eagerly when crossing shards, since the scratch choice vector cannot
+// travel.
 //
 //mpp:hotpath
 func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
@@ -381,52 +376,42 @@ func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.
 }
 
 // relax is the one relaxation of a candidate — words w at g-cost cost —
-// on its owning shard, in three steps:
+// on its owning shard: one probe of the state table, by Insert.
 //
-//  1. Probe the state table. A known state at a distance no greater
-//     than cost rejects the candidate at once: most candidates are such
-//     duplicates, and the table drops them for one probe.
-//  2. Only then check dominance (see dominate.go); Pruned counts its
-//     rejections, which are new states and cheaper paths only.
-//  3. Intern a new state, growing the per-state arrays, or lower a known
-//     state's distance.
+//   - A known state at a distance no greater than cost rejects the
+//     candidate. Most candidates are such duplicates, and a rejection
+//     allocates nothing.
+//   - A known state at a higher distance is lowered. If it was already
+//     expanded it is reopened (the re-expansion rule, see async.go): the
+//     expanded mark is cleared so the state expands again with the
+//     better g. Only speculation across shards triggers it; one shard
+//     expands every state at its final distance.
+//   - A new state is interned, and the per-state arrays grow.
 //
-// A candidate survives only if it passes both checks, so their order
-// moves no surviving relaxation; it only sets how many dominance records
-// are read. Returns the state index and whether the state is new, or
-// idx -1 when the candidate is rejected (a rejection allocates nothing).
-// A miss probes the table twice, in Find and in Insert.
-//
-// An improving relaxation of an already-expanded state reopens it (the
-// re-expansion rule, see async.go): the expanded mark is cleared so the
-// state expands again with the better g. Only speculation across shards
-// triggers it; one shard expands every state at its final distance.
+// Returns the state index and whether the state is new, or idx -1 when
+// the candidate is rejected.
 //
 //mpp:hotpath
 func (s *solver) relax(w []uint64, cost int64) (int32, bool) {
-	idx, known := s.tab.Find(w)
-	if known && s.dist[idx] <= cost {
-		return -1, false
-	}
-	if s.cfg.Dominance && s.dominated(w, cost) {
-		s.pruned++
-		return -1, false
-	}
-	if known {
-		s.dist[idx] = cost
-		if s.expandedMark[idx] {
-			s.expandedMark[idx] = false
-			s.reopened++
+	i, known := s.tab.Insert(w)
+	idx := int32(i)
+	if !known {
+		s.dist = append(s.dist, cost)
+		s.expandedMark = append(s.expandedMark, false)
+		if s.cfg.Witness {
+			s.parent = append(s.parent, parentEdge{from: stateRef{idx: -1}})
 		}
-		return int32(idx), false
+		return idx, true
 	}
-	idx, _ = s.tab.Insert(w)
-	s.dist = append(s.dist, cost)
-	s.expandedMark = append(s.expandedMark, false)
-	if s.cfg.Witness {
-		s.parent = append(s.parent, parentEdge{from: stateRef{idx: -1}})
+	if s.dist[idx] <= cost {
+		return -1, false
 	}
-	return int32(idx), true
+	s.dist[idx] = cost
+	if s.expandedMark[idx] {
+		s.expandedMark[idx] = false
+		s.reopened++
+	}
+	return idx, false
 }
 
 // enqueue finishes an improving relaxation: incumbent bookkeeping, the
@@ -446,10 +431,9 @@ func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 	if h < 0 {
 		// Dead state (one-shot): provably cannot reach the goal. It
 		// stays in the table (so re-derivations are cheap) but is never
-		// queued. Counted into Pruned alongside dominance drops — but
-		// only on first insertion: dead-ness is a pure function of the
-		// state words, so counting per state (not per improvement event)
-		// keeps this share of Pruned order-independent.
+		// queued. Counted into Pruned only on first insertion: dead-ness
+		// is a pure function of the state words, so counting per state
+		// (not per improvement event) keeps Pruned order-independent.
 		if fresh {
 			s.pruned++
 		}
@@ -514,13 +498,18 @@ func (s *solver) expand(cost int64) bool {
 
 	// Delete edges (cost 0): remove one red pebble. Blue deletions are
 	// never beneficial (slow memory is unlimited), so they are skipped.
-	// Under dominance pruning, deletes are additionally restricted to
+	// With Config.Dominance, deletes are additionally restricted to
 	// *full* processors (lazy deletion): a move adds at most one red
 	// pebble per processor, so one free slot is always enough, and any
 	// pebbling reorders at equal cost into this normal form — surplus
-	// pebbles never invalidate later moves and only help the goal.
+	// pebbles never invalidate later moves and only help the goal. A
+	// shade tied with the one before it (equal canonical red words)
+	// would only repeat that shade's successors, so it is skipped.
 	for p := 0; p < k; p++ {
 		reds := s.cur[p]
+		if p > 0 && reds == s.cur[p-1] {
+			continue
+		}
 		if s.cfg.Dominance && popcount(reds) < s.in.R {
 			continue
 		}
@@ -600,6 +589,17 @@ func moveOf(kind pebble.OpKind, choice []int) pebble.Move {
 // applyChoice. It polls ctx once every ctxCheckMask+1 candidates and
 // returns false, unwinding at once, when ctx is done.
 //
+// Tied shades enumerate multisets. s.cur is canonical, so shades with
+// equal red words are adjacent and have equal option lists, and any
+// arrangement of their picks canonicalizes to one successor. A shade
+// tied with the one before it therefore picks only at or after that
+// shade's pick, in loop order (idle first, then the options, which
+// ascend by node): k empty shades over two sources give k+1 selections,
+// not 2^k. The arrangement kept is the first of its multiset that the
+// full product would offer, so every successor's first candidate, and
+// with it its parent edge, is unchanged; the table rejected the later
+// ones, at equal cost, without effect.
+//
 //mpp:hotpath
 func (s *solver) product(opts [][]int, kind pebble.OpKind, newCost int64, idle bool) bool {
 	return s.productRec(opts, kind, newCost, 0, idle, false)
@@ -617,13 +617,20 @@ func (s *solver) productRec(opts [][]int, kind pebble.OpKind, newCost int64, p i
 		}
 		return true
 	}
-	if idle || len(opts[p]) == 0 {
+	lo := -1 // the least pick allowed; -1 (idle) allows every pick
+	if p > 0 && s.cur[p] == s.cur[p-1] {
+		lo = s.choice[p-1]
+	}
+	if (idle || len(opts[p]) == 0) && lo < 0 {
 		s.choice[p] = -1
 		if !s.productRec(opts, kind, newCost, p+1, idle, any) {
 			return false
 		}
 	}
 	for _, v := range opts[p] {
+		if v < lo {
+			continue
+		}
 		s.choice[p] = v
 		if !s.productRec(opts, kind, newCost, p+1, idle, true) {
 			return false

@@ -50,19 +50,40 @@ func exactOracle(in *pebble.Instance, cfg Config) (*Result, error) {
 	return exact(context.Background(), in, cfg, func() hashtab.Index { return hashtab.NewRef(stateWords(in.K)) })
 }
 
-// exactVisits is ExactWith that also returns the number of dominance
-// records its checks visited, summed over shards — the work measure of
-// the dominance index. The solvers stay out of the pool, so their
-// counters are read before anything can recycle them.
-func exactVisits(in *pebble.Instance, cfg Config) (*Result, int, error) {
-	newTab := func() hashtab.Index { return hashtab.New(stateWords(in.K), 1024) }
-	eng := newEngine(context.Background(), in, cfg, newTab, false)
-	res, err := eng.run()
-	visits := 0
-	for _, s := range eng.shards {
-		visits += s.domVisits
+// countingIndex is a state table that counts the probes a search makes
+// of it, by Find and by Insert.
+type countingIndex struct {
+	hashtab.Index
+	finds, inserts int
+}
+
+func (c *countingIndex) Find(key []uint64) (int, bool) {
+	c.finds++
+	return c.Index.Find(key)
+}
+
+func (c *countingIndex) Insert(key []uint64) (int, bool) {
+	c.inserts++
+	return c.Index.Insert(key)
+}
+
+// exactProbes is ExactWith on counting open-addressing tables, passed
+// through exact's table seam, so the run stays out of the pool. It
+// returns the Find and Insert calls summed over shards; read them only
+// on one shard, where no other goroutine counts.
+func exactProbes(in *pebble.Instance, cfg Config) (res *Result, finds, inserts int, err error) {
+	var tabs []*countingIndex
+	newTab := func() hashtab.Index {
+		c := &countingIndex{Index: hashtab.New(stateWords(in.K), 1024)}
+		tabs = append(tabs, c)
+		return c
 	}
-	return res, visits, err
+	res, err = exact(context.Background(), in, cfg, newTab)
+	for _, c := range tabs {
+		finds += c.finds
+		inserts += c.inserts
+	}
+	return res, finds, inserts, err
 }
 
 // zeroIOOracle is ZeroIO backed by the map-based reference memo.

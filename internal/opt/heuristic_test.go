@@ -15,7 +15,7 @@ import (
 // These tests pin the heuristic stack's contract: every mode is
 // admissible (h(start) ≤ OPT, partial lower bounds ≤ OPT) and
 // consistent (a one-shard search never re-expands), the max mode
-// dominates the floor, dominance pruning never changes the optimum, and
+// dominates the floor, lazy deletion never changes the optimum, and
 // complete results collapse their bracket exactly.
 
 func TestHeuristicModeStrings(t *testing.T) {
@@ -147,9 +147,10 @@ func TestRootLowerBoundCliquePairs(t *testing.T) {
 	}
 }
 
-// TestDominancePreservesOptimum: dominance pruning must never change the
-// proven optimum, only the work done — swept over random instances where
-// red capacity is tight enough to force deletions.
+// TestDominancePreservesOptimum: the lazy-deletion normal form
+// (Config.Dominance) must never change the proven optimum, only the
+// work done — swept over random instances where red capacity is tight
+// enough to force deletions.
 func TestDominancePreservesOptimum(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -168,11 +169,11 @@ func TestDominancePreservesOptimum(t *testing.T) {
 			return false
 		}
 		if on.Cost != off.Cost {
-			t.Logf("seed %d: dominance on cost %d ≠ off cost %d", seed, on.Cost, off.Cost)
+			t.Logf("seed %d: lazy deletion on cost %d ≠ off cost %d", seed, on.Cost, off.Cost)
 			return false
 		}
-		// States expanded usually shrink but are not monotone: pruning
-		// shifts which tie the queue pops first on the f = OPT plateau,
+		// States expanded usually shrink but are not monotone: the
+		// normal form shifts which tie the queue pops first on the f = OPT plateau,
 		// so no ≤ claim.
 		return true
 	}

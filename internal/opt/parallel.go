@@ -8,25 +8,21 @@ package opt
 //   - On one shard — every ModeDeterministic run, whatever
 //     Config.Workers says, and ModeAsync at Workers == 1 — it is a
 //     sequential A*: pop the lowest f-bucket, deepest g first inside
-//     the bucket, settle each expanded state into the dominance index
-//     at once. No goroutine, lock or atomic race is involved, so
-//     every Result field, the witness Strategy included, is a pure
-//     function of (instance, Heuristic, Dominance, Witness, MaxStates)
-//     unless a deadline or cancel stops the search.
+//     the bucket, and expand. No goroutine, lock or atomic race is
+//     involved, so every Result field, the witness Strategy included,
+//     is a pure function of (instance, Heuristic, Dominance, Witness,
+//     MaxStates) unless a deadline or cancel stops the search.
 //   - On W > 1 shards (ModeAsync only) it is speculative HDA*: each
 //     shard runs that same loop on its own partition and routes
 //     candidates to their owners, and the search ends by quiescence.
 //     The optimum stays exact; the statistics become timing-dependent.
 //
 // The state space is hash-partitioned by the (blue, computed) words of
-// a packed configuration: hashtab.ShardOf over the same domHash the
-// dominance index keys on, so a candidate and every state that could
-// dominate it — dominance requires identical (blue, computed) — land on
-// the same shard, and shade canonicalization (which permutes only red
-// words) never moves a state across shards. Each shard owns its table
-// arena, distance/parent arrays, bucket queue and dominance index
-// outright; nothing per-state is ever shared, so the shards run
-// lock-free on their hot paths.
+// a packed configuration (hashtab.ShardOf over ownerHash), so shade
+// canonicalization, which permutes only red words, never moves a state
+// across shards. Each shard owns its table arena, distance/parent
+// arrays and bucket queue outright; nothing per-state is ever shared,
+// so the shards run lock-free on their hot paths.
 //
 // A candidate for another shard joins this shard's run for that owner;
 // a full run (batchStates candidates), and every run when the shard
@@ -157,12 +153,25 @@ func resolveWorkers(w int) int {
 }
 
 // ownerOf returns the shard owning a packed state: a pure function of
-// its (blue, computed) words, shared with the dominance index's key.
+// its (blue, computed) words.
 //
 //mpp:hotpath
 func (e *engine) ownerOf(w []uint64) int {
 	k := e.in.K
-	return hashtab.ShardOf(domHash(w[k], w[k+1]), e.nShards)
+	return hashtab.ShardOf(ownerHash(w[k], w[k+1]), e.nShards)
+}
+
+// ownerHash mixes the two ownership words (splitmix64-style finalizer).
+//
+//mpp:hotpath
+func ownerHash(blue, computed uint64) uint64 {
+	x := blue ^ 0x9e3779b97f4a7c15
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x ^= computed
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 func (e *engine) incumbentNow() int64 { return atomic.LoadInt64(&e.incumbent) }
@@ -313,9 +322,9 @@ func (s *solver) apply() {
 }
 
 // drained handles an exhausted frontier: with an incumbent the search
-// is complete (every remaining path was pruned or dominated at ≥ the
-// incumbent's cost); without one the instance had no pebbling, which
-// valid instances cannot exhibit.
+// is complete (every remaining path costs at least the incumbent);
+// without one the instance had no pebbling, which valid instances
+// cannot exhibit.
 func (e *engine) drained() (*Result, error) {
 	if e.incumbentNow() < math.MaxInt64 {
 		return e.complete()

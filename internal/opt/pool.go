@@ -4,7 +4,7 @@ package opt
 //
 // A search's dominant allocations are per-shard arenas: the state table,
 // the distance/mark/parent arrays, the bucket queue's buckets, the
-// dominance index and the expansion scratch. All of them reset in O(1)
+// cross-shard runs and the expansion scratch. All of them reset in O(1)
 // or O(capacity-touched) without releasing memory, so solvers are
 // recycled through a package-level sync.Pool: every ExactWith call (and
 // therefore cmd/mppexp -j, the exp helpers and the server workers)
@@ -59,8 +59,8 @@ const (
 )
 
 // arenaBytes estimates the capacity this solver's recycled arenas pin:
-// the state table, the per-state arrays, the bucket queue, the
-// dominance index and the cross-shard runs. Scratch buffers are O(n·k)
+// the state table, the per-state arrays, the bucket queue and the
+// cross-shard runs. Scratch buffers are O(n·k)
 // and excluded. An estimate is all the retention cap needs.
 func (s *solver) arenaBytes() int64 {
 	var b int64
@@ -71,9 +71,6 @@ func (s *solver) arenaBytes() int64 {
 	b += int64(cap(s.parent))*parentEdgeBytes + sliceHdrBytes
 	b += int64(cap(s.expandedMark)) + sliceHdrBytes
 	b += s.bq.arenaBytes()
-	if s.dom != nil {
-		b += s.dom.arenaBytes()
-	}
 	for _, r := range s.out[:cap(s.out)] {
 		b += r.arenaBytes()
 	}
@@ -103,12 +100,11 @@ func acquireSolver(pooled bool) *solver {
 // only when it is the open-addressing kind with the right key width;
 // otherwise the constructor runs.
 func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, pooled bool) {
-	in, cfg := e.in, e.cfg
-	s.in, s.ctx, s.cfg = in, e.ctx, cfg
+	in := e.in
+	s.in, s.ctx, s.cfg = in, e.ctx, e.cfg
 	s.n = in.Graph.N()
 	s.eng, s.shard = e, shard
 	s.pruned, s.reopened, s.ticks = 0, 0, 0
-	s.domVisits = 0
 	s.curIdx = 0
 	s.initDerived()
 	s.initScratch()
@@ -122,13 +118,6 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	s.expandedMark = s.expandedMark[:0]
 	s.parent = s.parent[:0]
 	s.bq.reset()
-	if cfg.Dominance {
-		if s.dom == nil {
-			s.dom = newDomIndex(in.K)
-		} else {
-			s.dom.reset(in.K)
-		}
-	}
 	if cap(s.out) < e.nShards {
 		s.out = make([]run, e.nShards)
 	}

@@ -191,32 +191,6 @@ func TestReleaseDropsOversizedArenas(t *testing.T) {
 		}
 	}
 
-	// A solver whose only oversized arena is the dominance index's runs.
-	// Every other arena is empty, and the index's slot array stays at
-	// its initial size: 64 keys, each with a run of 256 records (reds
-	// (i, ^i) never cover one another). If arenaBytes left the runs out,
-	// the solver would look small and be pooled.
-	const k = 2
-	dom := newDomIndex(k)
-	for i := uint64(0); i < 64*256; i++ {
-		dom.add(0, i%64, 1, []uint64{i, ^i})
-	}
-	recWords := 0
-	for _, r := range dom.runs {
-		recWords += len(r)
-	}
-	if recBytes := int64(recWords) * 8; recBytes <= maxPooledArenaBytes {
-		t.Fatalf("runs hold %d bytes, not past the %d-byte threshold", recBytes, maxPooledArenaBytes)
-	}
-	domOnly := &solver{dom: dom}
-	(&engine{pooled: true, shards: []*solver{domOnly}}).release()
-	for _, s := range drainSolverPool() {
-		if s == domOnly {
-			t.Errorf("pool retains a solver whose dominance runs hold %d record words (threshold %d bytes): the runs must count as arena bytes",
-				recWords, maxPooledArenaBytes)
-		}
-	}
-
 	// A solver whose only oversized arena is the bucket queue: 32 768
 	// entries spread over 64 f-buckets of 8 h-lists each. If arenaBytes
 	// left the per-h lists out, the solver would look small and be

@@ -52,9 +52,10 @@ func TestSolveCachedByteIdenticalZoo(t *testing.T) {
 	}
 }
 
-// TestSolveCachedWitnessDominance: Dominance changes a witness solve's
-// Result (grid2x3 expands 134 states with it, 316 without), so witness
-// solves with dominance on and off must not share a cache entry. Both go
+// TestSolveCachedWitnessDominance: Dominance (lazy deletion) changes a
+// witness solve's Result (grid2x3 expands 134 states with it, 316
+// without), so witness solves with it on and off must not share a cache
+// entry. Both go
 // through one cache, and each hit must equal its own fresh solve.
 func TestSolveCachedWitnessDominance(t *testing.T) {
 	ctx := context.Background()

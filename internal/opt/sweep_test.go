@@ -43,7 +43,7 @@ const refLane = 8
 //
 // Only provable no-ops are left out: blue deletes, reading or computing
 // a node the processor already holds, and writing a node already blue.
-// There is no heuristic, no dominance and no shade canonicalization.
+// There is no heuristic, no lazy deletion and no shade canonicalization.
 type refModel struct {
 	n, k, r   int
 	g, c      int64

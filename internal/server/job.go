@@ -32,7 +32,8 @@ import (
 // optional per-job deadline. The zero values resolve to the same
 // defaults the CLI tools use, with two pointer fields where the zero
 // value is a meaningful non-default: ComputeCost nil means the paper's
-// MPP cost 1 (0 is classic SPP free compute), Dominance nil means on.
+// MPP cost 1 (0 is classic SPP free compute), Dominance nil means lazy
+// deletion on.
 type SubmitRequest struct {
 	// DAG is a generator spec (spec.DAGSyntax, e.g. "grid:4,4");
 	// DAGJSON is an inline dag.Graph JSON document. Exactly one must be
@@ -50,7 +51,7 @@ type SubmitRequest struct {
 
 	MaxStates int    `json:"max_states,omitempty"` // 0 → unbounded
 	Heuristic string `json:"heuristic,omitempty"`  // "" → "max"
-	Dominance *bool  `json:"dominance,omitempty"`  // nil → true
+	Dominance *bool  `json:"dominance,omitempty"`  // lazy deletion (opt.Config.Dominance); nil → true
 	Witness   bool   `json:"witness,omitempty"`
 
 	// TimeoutMS is the per-job wall-clock deadline in milliseconds,
@@ -112,7 +113,11 @@ func (req *SubmitRequest) Build() (*pebble.Instance, opt.Config, time.Duration, 
 }
 
 // graph resolves the request's DAG: exactly one of the spec string and
-// the inline JSON document must be present.
+// the inline JSON document must be present. An inline document's node
+// count is read and checked against opt.MaxExact before the graph is
+// built, since building allocates per node: a few bytes of JSON could
+// otherwise make the handler allocate gigabytes for a graph Build
+// refuses anyway.
 func (req *SubmitRequest) graph() (*dag.Graph, error) {
 	switch {
 	case req.DAG != "" && len(req.DAGJSON) > 0:
@@ -123,6 +128,12 @@ func (req *SubmitRequest) graph() (*dag.Graph, error) {
 		}
 		return spec.ParseDAG(req.DAG)
 	case len(req.DAGJSON) > 0:
+		var head struct {
+			N int `json:"n"`
+		}
+		if err := json.Unmarshal(req.DAGJSON, &head); err == nil && head.N > opt.MaxExact {
+			return nil, fmt.Errorf("dag_json has %d nodes; the exact solver takes at most %d", head.N, opt.MaxExact)
+		}
 		return dag.FromJSON(req.DAGJSON)
 	}
 	return nil, fmt.Errorf(`neither "dag" nor "dag_json" set; submit exactly one`)

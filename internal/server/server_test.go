@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -373,12 +374,18 @@ func TestSubmitValidation(t *testing.T) {
 		{"k beyond 62", `{"dag":"grid:2,2","k":63,"g":1}`},
 		{"k at int32 max", `{"dag":"grid:2,2","k":2147483647,"g":1}`},
 		{"n beyond 62", `{"dag":"chain:63","k":1,"g":1}`},
+		// An inline graph's node count is checked before it is built:
+		// building allocates per node, about 115 bytes each.
+		{"dag_json n beyond 62", `{"dag_json":{"n":63,"edges":[]},"k":1,"g":1}`},
+		{"dag_json n at int32 max", `{"dag_json":{"n":2147483647,"edges":[]},"k":1,"g":1}`},
 	}
 	// The limits' errors name them.
 	says := map[string]string{
-		"k beyond 62":    "at most 62 processors",
-		"k at int32 max": "at most 62 processors",
-		"n beyond 62":    "at most 62",
+		"k beyond 62":             "at most 62 processors",
+		"k at int32 max":          "at most 62 processors",
+		"n beyond 62":             "at most 62",
+		"dag_json n beyond 62":    "at most 62",
+		"dag_json n at int32 max": "at most 62",
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -398,6 +405,29 @@ func TestSubmitValidation(t *testing.T) {
 				t.Errorf("error %q does not say %q", env["error"], says[c.name])
 			}
 		})
+	}
+}
+
+// TestBuildCountsDAGJSONNodesFirst: Build refuses an inline graph of
+// 10⁶ nodes without building it. Building first allocated ~115 MB for
+// this 24-byte document, and ~240 GB at n = 2³¹−1; the refusal must
+// stay under 64 KB. The least of three runs is taken, so an allocation
+// on another goroutine cannot fail the check.
+func TestBuildCountsDAGJSONNodesFirst(t *testing.T) {
+	req := SubmitRequest{DAGJSON: json.RawMessage(`{"n":1000000,"edges":[]}`), K: 1, G: 1}
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := req.Build()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "at most 62") {
+			t.Fatalf("Build: err %v, want the 62-node limit named", err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Errorf("Build allocated %d bytes refusing a 10⁶-node dag_json, want under 64 KB", least)
 	}
 }
 

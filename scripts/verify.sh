@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: formatting, vet, lint, build, the full test
 # suite (including the golden states-expanded table in internal/opt),
-# a short fuzz of the strategy reader, the race suites, the scheduler
+# short fuzzes of the strategy and DAG readers, the race suites, the scheduler
 # scale and allocation smoke, the exhaustive small-DAG sweep of the
 # exact search and the server end-to-end smoke. Run
 # before every commit; CI runs exactly this.
@@ -43,6 +43,12 @@ echo "== fuzz: strategy JSON reader =="
 # coverage-guided search for inputs that break its decode/re-encode
 # fixed point or make Replay panic.
 go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/pebble/
+
+echo "== fuzz: DAG JSON reader =="
+# dag.FromJSON decodes the job API's dag_json from outside the program:
+# a short coverage-guided search for inputs that make it panic, or that
+# it accepts but cannot round-trip to the same node count and edges.
+go test -run '^$' -fuzz '^FuzzFromJSON$' -fuzztime 10s ./internal/dag/
 
 echo "== bench module =="
 # bench/ is its own Go module (repro/bench, replace repro => ../), so the
@@ -96,15 +102,14 @@ echo "== sched smoke (10^5-node instances) =="
 # test suite stays fast.
 SCHED_SMOKE=1 go test -run TestSchedSmoke -count=1 ./internal/sched/
 
-echo "== opt sweep (every DAG up to 5 nodes, ZeroIO up to 6, 5 000 dominance-index seeds) =="
+echo "== opt sweep (every DAG up to 5 nodes, ZeroIO up to 6) =="
 # The exhaustive gate on the exact search: every DAG up to five nodes
 # against an independent full-rule reference (the plain suite above
 # stops at four), the per-edge heuristic checks on the four-node state
-# graphs at k <= 2, the zero-I/O decider on every DAG up to six nodes
-# at every r, and the dominance index against a brute-force scan on
-# 5 000 seeded record streams. About two minutes of wall time, gated
-# behind OPT_SWEEP and run here, outside -race.
-OPT_SWEEP=1 go test -run 'TestExactMatchesReference|TestHeuristicFullGraph|TestZeroIOMatchesReference|TestDomIndexMatchesBruteForce' -count=1 ./internal/opt/
+# graphs at k <= 2, and the zero-I/O decider on every DAG up to six
+# nodes at every r. About two minutes of wall time, gated behind
+# OPT_SWEEP and run here, outside -race.
+OPT_SWEEP=1 go test -run 'TestExactMatchesReference|TestHeuristicFullGraph|TestZeroIOMatchesReference' -count=1 ./internal/opt/
 
 echo "== server e2e smoke =="
 # Exec-level proof of the solver-as-a-service contract: build the real
