@@ -7,7 +7,7 @@
 //	mppsched -dag fft:4 -k 2 -r 6 -g 3 -sched greedy
 //	mppsched -dag zipper:8,40 -k 2 -r 10 -g 4 -sched all
 //	mppsched -dag file:my.txt -k 4 -sched partitioned:levels -timeline 20
-//	mppsched -dag random:500,0.05 -sched random -timeout 2s
+//	mppsched -dag random:500,0.05,3,1 -sched random -timeout 2s
 //
 // -timeout bounds each scheduler's wall-clock time. Anytime schedulers
 // (random-restart greedy) return their best-so-far strategy at the

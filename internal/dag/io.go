@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -135,24 +136,25 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("dag: line %d: nodes wants 1 argument", lineNo)
 			}
-			var n int
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 || n > math.MaxInt32 {
+			n, err := strconv.Atoi(fields[1])
+			if err != nil || n < 0 || n > math.MaxInt32 {
 				return nil, fmt.Errorf("dag: line %d: bad nodes directive", lineNo)
 			}
-			b = NewBuilder(name)
+			b = NewBuilder("")
 			b.AddNodes(n)
 		case "edge":
 			if b == nil {
 				return nil, fmt.Errorf("dag: line %d: edge before nodes", lineNo)
 			}
-			var u, v NodeID
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("dag: line %d: edge wants 2 arguments", lineNo)
 			}
-			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &u, &v); err != nil {
+			u, errU := strconv.ParseInt(fields[1], 10, 32)
+			v, errV := strconv.ParseInt(fields[2], 10, 32)
+			if errU != nil || errV != nil {
 				return nil, fmt.Errorf("dag: line %d: bad edge endpoints", lineNo)
 			}
-			b.AddEdge(u, v)
+			b.AddEdge(NodeID(u), NodeID(v))
 		default:
 			return nil, fmt.Errorf("dag: line %d: unknown directive %q", lineNo, fields[0])
 		}
@@ -163,6 +165,7 @@ func ReadText(r io.Reader) (*Graph, error) {
 	if b == nil {
 		return nil, fmt.Errorf("dag: missing nodes directive")
 	}
+	b.name = name // a name line may follow the nodes line
 	return b.Build()
 }
 

@@ -75,21 +75,34 @@ func TestTextRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(g2.Edges(), g.Edges()) || g2.Name() != "diamond" {
 		t.Fatal("text round trip mismatch")
 	}
+	// Lines may come in any order but for nodes before edges, so a name
+	// line after the nodes line still names the graph.
+	late, err := ReadText(strings.NewReader("nodes 2\nedge 0 1\nname late\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Name() != "late" || late.N() != 2 || late.M() != 1 {
+		t.Fatalf("late name: got name %q, %d nodes, %d edges", late.Name(), late.N(), late.M())
+	}
 }
 
 func TestReadTextErrors(t *testing.T) {
 	cases := []string{
-		"edge 0 1",          // edge before nodes
-		"nodes 2\nedge 0",   // malformed edge
-		"nodes 2\nfoo",      // unknown directive
-		"nodes 2\nnodes 3",  // duplicate nodes
-		"",                  // missing nodes
-		"nodes x",           // bad count
-		"nodes 2\nedge 0 5", // out of range (caught at Build)
-		"nodes",             // no count
-		"nodes -3",          // negative count
-		"nodes 2147483648",  // past the NodeID range, refused before AddNodes
-		"nodes 2 3",         // extra argument
+		"edge 0 1",                   // edge before nodes
+		"nodes 2\nedge 0",            // malformed edge
+		"nodes 2\nfoo",               // unknown directive
+		"nodes 2\nnodes 3",           // duplicate nodes
+		"",                           // missing nodes
+		"nodes x",                    // bad count
+		"nodes 2\nedge 0 5",          // out of range (caught at Build)
+		"nodes",                      // no count
+		"nodes -3",                   // negative count
+		"nodes 2147483648",           // past the NodeID range, refused before AddNodes
+		"nodes 2 3",                  // extra argument
+		"nodes 5x",                   // trailing text after the count
+		"nodes 2\nedge 0 1junk",      // trailing text after an endpoint
+		"nodes 2\nedge 0x 1",         // trailing text after the first endpoint
+		"nodes 2\nedge 0 2147483648", // endpoint past the NodeID range
 	}
 	for _, c := range cases {
 		if _, err := ReadText(strings.NewReader(c)); err == nil {

@@ -14,8 +14,8 @@ import (
 )
 
 // A Package is one parsed, type-checked compilation unit: the directory's
-// library files plus its in-package _test.go files (external foo_test
-// packages become a second Package with path suffixed "_test").
+// library files plus its in-package _test.go files. An external foo_test
+// package is not loaded: LoadDir refuses a directory that has one.
 type Package struct {
 	Path  string // import path, e.g. "repro/internal/opt"
 	Name  string

@@ -1,12 +1,14 @@
 package opt
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/hashtab"
 	"repro/internal/pebble"
 )
 
@@ -122,6 +124,41 @@ func TestExactAnytimeCancel(t *testing.T) {
 	}
 	if res.Incumbent != -1 {
 		t.Errorf("cancelled-before-start run found incumbent %d", res.Incumbent)
+	}
+}
+
+// TestWitnessRebuildAfterCancel: a canceled or deadline-stopped witness
+// solve rebuilds its incumbent's strategy after its context is done, and
+// the rebuild re-expands each state on the path, so it must not stop on
+// that context. The solve here completes; its context is then canceled
+// and shard 0 left one tick short of a poll, so the rebuild's first
+// expansion polls at once. It must still return the same strategy.
+func TestWitnessRebuildAfterCancel(t *testing.T) {
+	in := pebble.MustInstance(gen.Grid2D(2, 3), pebble.MPP(2, 3, 2))
+	cfg := DefaultConfig(budget)
+	cfg.Witness = true
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	eng := newEngine(ctx, in, cfg, func() hashtab.Index { return hashtab.New(stateWords(in.K), 1024) }, false)
+	res, err := eng.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	eng.shards[0].ticks = ctxCheckMask
+	st, err := eng.reconstruct(eng.witnessRef())
+	if err != nil {
+		t.Fatalf("rebuild after cancel: %v", err)
+	}
+	var want, got bytes.Buffer
+	if err := res.Strategy.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("rebuild after cancel gave %s, want %s", got.Bytes(), want.Bytes())
 	}
 }
 

@@ -149,7 +149,7 @@ func (s *solver) expandEntry(ent bqEntry, f int64) bool {
 		return false
 	}
 	s.expandedMark[ent.idx] = true
-	s.curIdx = ent.idx
+	s.curRef = stateRef{shard: s.shard, idx: ent.idx}
 	if !s.expand(ent.g) {
 		// ctx stopped the expansion part-way. The entry goes back
 		// unexpanded and uncharged, so the frontier still covers the
@@ -175,9 +175,7 @@ func (s *solver) expandEntry(ent bqEntry, f int64) bool {
 func (e *engine) run() (*Result, error) {
 	start := make([]uint64, stateWords(e.in.K))
 	owner := e.shards[e.ownerOf(start)]
-	idx, fresh := owner.relax(start, 0)
-	e.startRef = stateRef{shard: owner.shard, idx: idx}
-	owner.enqueue(start, 0, idx, fresh)
+	owner.relax(start, 0, stateRef{idx: -1})
 	if e.ctx.Err() != nil {
 		e.requestStop(StatusCanceled)
 		return e.partialResult(StatusCanceled)

@@ -58,7 +58,7 @@ func TestExactTableMatchesOracleZoo(t *testing.T) {
 			t.Errorf("%s: table (cost %d, states %d) ≠ oracle (cost %d, states %d)",
 				c.name, got.Cost, got.States, want.Cost, want.States)
 		}
-		// A witness solve adds parent edges and the rebuild from them, so
+		// A witness solve adds parent refs and the rebuild from them, so
 		// it gets its own table-versus-oracle comparison.
 		gw, err := witnessSeq(in, budget)
 		if err != nil {
@@ -297,20 +297,32 @@ func TestZeroIOBigMatchesOracleCliquePairs(t *testing.T) {
 // must stay far below the old per-run allocation count (~13k allocs
 // with the map/heap core). The bound is generous — it exists to catch a
 // regression back to per-state allocation, not to freeze the exact
-// constant.
+// constant. The witness row is the benchmark's k=2 grid solve: a
+// witness keeps only a parent ref per state and rebuilds its moves at
+// the end, so it must allocate like a value solve.
 func TestExactAllocationBudget(t *testing.T) {
 	g := gen.Grid2D(3, 3)
 	in := pebble.MustInstance(g, pebble.MPP(1, 4, 2))
-	for _, mode := range []Mode{ModeDeterministic, ModeAsync} {
-		cfg := seqConfig(10_000_000)
-		cfg.Mode = mode
+	witness := DefaultConfig(10_000_000)
+	witness.Witness = true
+	rows := []struct {
+		name string
+		in   *pebble.Instance
+		cfg  Config
+	}{
+		{"deterministic", in, seqConfig(10_000_000)},
+		{"async", in, seqConfig(10_000_000)},
+		{"witness-k2", pebble.MustInstance(g, pebble.MPP(2, 3, 2)), witness},
+	}
+	rows[1].cfg.Mode = ModeAsync
+	for _, row := range rows {
 		allocs := testing.AllocsPerRun(5, func() {
-			if res, err := ExactWith(context.Background(), in, cfg); err != nil || res.Status != StatusComplete {
+			if res, err := ExactWith(context.Background(), row.in, row.cfg); err != nil || res.Status != StatusComplete {
 				t.Fatal(err)
 			}
 		})
 		if allocs > 2000 {
-			t.Errorf("%v engine on grid3x3 allocates %v times per run; the allocation-free core should stay ≤ 2000", mode, allocs)
+			t.Errorf("%s run on grid3x3 allocates %v times per run; the allocation-free core should stay ≤ 2000", row.name, allocs)
 		}
 	}
 }

@@ -23,11 +23,12 @@
 // ModeDeterministic, the default, it runs on one shard: a sequential A*
 // whose Result — witness included — is a pure function of the instance
 // and the result-affecting config, unless a deadline or cancel stops
-// it. A witness request runs that same search and only adds parent
-// edges, from which the move sequence is rebuilt at the end. ModeAsync
-// hash-shards the state space across Config.Workers goroutines,
-// HDA*-style: the optimum stays exact, but expansion counts and traces
-// become timing-dependent.
+// it. A witness request runs that same search and only adds a parent
+// ref per state; at the end the move sequence is rebuilt by expanding
+// each state on the goal's parent path once more. ModeAsync hash-shards
+// the state space across Config.Workers goroutines, HDA*-style: the
+// optimum stays exact, but expansion counts and traces become
+// timing-dependent.
 //
 // Solver arenas (table, queue, per-state arrays, scratch) are recycled
 // through a package-level pool across searches (see pool.go), so
@@ -38,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/hashtab"
@@ -212,15 +214,6 @@ type stateRef struct {
 	idx   int32
 }
 
-// parentEdge records how a state was reached at its best cost, for
-// witness reconstruction. The parent may live on a different shard. The
-// move names shade positions in the parent's canonical red words, not
-// processors; reconstruct maps them back.
-type parentEdge struct {
-	from stateRef
-	move pebble.Move
-}
-
 // solver is one shard's worker state: it owns a contiguous partition of
 // the hash-sharded state space — its own table arena, distance and
 // parent arrays and bucket queue — and exchanges only runs of
@@ -244,7 +237,7 @@ type solver struct {
 
 	tab    hashtab.Index // state identity → dense index (this shard only)
 	dist   []int64       // best g-cost per state index
-	parent []parentEdge  // per state index; witness solves only
+	parent []stateRef    // per state index: the state whose expansion set dist (witness solves only)
 	bq     bucketQueue
 
 	// expandedMark marks state indices this shard has expanded — the
@@ -262,7 +255,17 @@ type solver struct {
 	out   []run
 	spare run
 
-	curIdx int32 // index of the state being expanded
+	curRef stateRef // the state being expanded
+
+	// Witness rebuild (reconstruct only): while want is set, offer
+	// relaxes nothing and keeps in pick the earliest of the cheapest
+	// candidates whose words equal want.
+	want []uint64
+	pick struct {
+		cost   int64
+		kind   pebble.OpKind
+		choice []int // per shade position, -1 idle
+	}
 
 	// Scratch buffers, reused across the whole search so that expanding a
 	// state and rejecting all its candidates performs zero allocations.
@@ -332,51 +335,36 @@ func (s *solver) isGoal(w []uint64) bool {
 	return s.sinkMask&^pebbled == 0
 }
 
-// offer canonicalizes the candidate state in s.cand and routes it at
-// the given g-cost to its owning shard: relaxed immediately when this
-// shard owns it, gathered into a run for the owner's mailbox otherwise.
-// The move is materialized from (kind, choice) only in a witness solve
-// — lazily (only when relax accepts the candidate) on the local path;
-// eagerly when crossing shards, since the scratch choice vector cannot
-// travel.
+// offer canonicalizes the candidate state in s.cand, generated by the
+// move kind with the per-position choice, and routes it at the given
+// g-cost to its owning shard: relaxed immediately when this shard owns
+// it, gathered into a run for the owner's mailbox otherwise. While want
+// is set it relaxes nothing and only updates pick (see the solver
+// fields); the search itself never turns (kind, choice) into a move.
 //
 //mpp:hotpath
 func (s *solver) offer(cost int64, kind pebble.OpKind, choice []int) {
 	canonicalizeRed(s.cand[:s.in.K])
+	if s.want != nil {
+		if cost < s.pick.cost && slices.Equal(s.cand, s.want) {
+			s.pick.cost, s.pick.kind = cost, kind
+			copy(s.pick.choice, choice)
+		}
+		return
+	}
 	if s.eng.nShards > 1 {
 		if dst := s.eng.ownerOf(s.cand); dst != int(s.shard) {
-			s.route(dst, cost, kind, choice)
+			s.route(dst, cost)
 			return
 		}
 	}
-	idx, fresh := s.relax(s.cand, cost)
-	if idx < 0 {
-		return
-	}
-	if s.cfg.Witness {
-		s.parent[idx] = parentEdge{from: stateRef{shard: s.shard, idx: s.curIdx}, move: moveOf(kind, choice)}
-	}
-	s.enqueue(s.cand, cost, idx, fresh)
+	s.relax(s.cand, cost, s.curRef)
 }
 
-// applyRemote relaxes one candidate received from another shard — the
-// deferred half of offer, run when the owner applies its mailbox. The
-// words slice aliases the run's buffer; Insert copies it.
-//
-//mpp:hotpath
-func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.Move) {
-	idx, fresh := s.relax(w, cost)
-	if idx < 0 {
-		return
-	}
-	if s.cfg.Witness {
-		s.parent[idx] = parentEdge{from: from, move: move}
-	}
-	s.enqueue(w, cost, idx, fresh)
-}
-
-// relax is the one relaxation of a candidate — words w at g-cost cost —
-// on its owning shard: one probe of the state table, by Insert.
+// relax is the one relaxation of a candidate — words w at g-cost cost,
+// generated by expanding the state from — on its owning shard, local
+// and mailbox candidates alike: one probe of the state table, by
+// Insert. The words may alias a run's buffer; Insert copies them.
 //
 //   - A known state at a distance no greater than cost rejects the
 //     candidate. Most candidates are such duplicates, and a rejection
@@ -388,37 +376,33 @@ func (s *solver) applyRemote(w []uint64, cost int64, from stateRef, move pebble.
 //     expands every state at its final distance.
 //   - A new state is interned, and the per-state arrays grow.
 //
-// Returns the state index and whether the state is new, or idx -1 when
-// the candidate is rejected.
+// An accepted candidate records from as the state's parent (witness
+// solves), offers the incumbent if it is a goal, and is queued unless
+// it is dead.
 //
 //mpp:hotpath
-func (s *solver) relax(w []uint64, cost int64) (int32, bool) {
+func (s *solver) relax(w []uint64, cost int64, from stateRef) {
 	i, known := s.tab.Insert(w)
 	idx := int32(i)
-	if !known {
+	switch {
+	case !known:
 		s.dist = append(s.dist, cost)
 		s.expandedMark = append(s.expandedMark, false)
 		if s.cfg.Witness {
-			s.parent = append(s.parent, parentEdge{from: stateRef{idx: -1}})
+			s.parent = append(s.parent, from)
 		}
-		return idx, true
+	case s.dist[idx] <= cost:
+		return
+	default:
+		s.dist[idx] = cost
+		if s.cfg.Witness {
+			s.parent[idx] = from
+		}
+		if s.expandedMark[idx] {
+			s.expandedMark[idx] = false
+			s.reopened++
+		}
 	}
-	if s.dist[idx] <= cost {
-		return -1, false
-	}
-	s.dist[idx] = cost
-	if s.expandedMark[idx] {
-		s.expandedMark[idx] = false
-		s.reopened++
-	}
-	return idx, false
-}
-
-// enqueue finishes an improving relaxation: incumbent bookkeeping, the
-// dead-state drop, and the frontier push.
-//
-//mpp:hotpath
-func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 	// Anytime incumbent: any goal state relaxed at cost c witnesses a
 	// feasible pebbling of cost c, even though optimality is only proven
 	// once no open entry lies below it. The incumbent is a search-wide
@@ -434,7 +418,7 @@ func (s *solver) enqueue(w []uint64, cost int64, idx int32, fresh bool) {
 		// queued. Counted into Pruned only on first insertion: dead-ness
 		// is a pure function of the state words, so counting per state
 		// (not per improvement event) keeps Pruned order-independent.
-		if fresh {
+		if !known {
 			s.pruned++
 		}
 		return
@@ -569,17 +553,6 @@ func (s *solver) applyChoice(kind pebble.OpKind, newCost int64) {
 	s.offer(newCost, kind, s.choice)
 }
 
-// moveOf converts a per-processor choice vector (-1 = idle) into a Move.
-func moveOf(kind pebble.OpKind, choice []int) pebble.Move {
-	m := pebble.Move{Kind: kind}
-	for p, v := range choice {
-		if v >= 0 {
-			m.Actions = append(m.Actions, pebble.At(p, dag.NodeID(v)))
-		}
-	}
-	return m
-}
-
 // product enumerates the maximal combinations of per-processor choices
 // into s.choice and applies each: a processor with options takes one of
 // them, and one without stays idle (-1). With idle set (one-shot
@@ -597,8 +570,9 @@ func moveOf(kind pebble.OpKind, choice []int) pebble.Move {
 // ascend by node): k empty shades over two sources give k+1 selections,
 // not 2^k. The arrangement kept is the first of its multiset that the
 // full product would offer, so every successor's first candidate, and
-// with it its parent edge, is unchanged; the table rejected the later
-// ones, at equal cost, without effect.
+// with it its parent ref, is unchanged; the table rejected the later
+// ones, at equal cost, without effect — and reconstruct, which keeps the
+// earliest candidate, regenerates that same arrangement.
 //
 //mpp:hotpath
 func (s *solver) product(opts [][]int, kind pebble.OpKind, newCost int64, idle bool) bool {

@@ -1,7 +1,10 @@
 package opt
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -31,11 +34,13 @@ const goldenBudget = 1_000_000
 // counts are deterministic too and equal their /default rows
 // (TestExactWorkersMatchSequentialZoo asserts that equality zoo-wide).
 // So do the /witness rows: a witness solve is the value solve plus
-// parent edges (TestExactModesAgreeOnOptimum asserts it zoo-wide).
-// The grid3x3-k2 rows are the benchmark's k=2 grid solve. The pyramid4
-// and fft2 rows are its two larger solves, so a change of expansion
-// order on the f = OPT plateau fails a plain test run, not only a
-// traced benchmark run.
+// parent refs (TestExactModesAgreeOnOptimum asserts it zoo-wide). Each
+// /witness row also pins the SHA-256 of its strategy's WriteJSON
+// bytes, so a rebuild that regenerates another move, even a legal one
+// of equal cost, fails here. The grid3x3-k2 rows are the benchmark's
+// k=2 grid solve. The pyramid4 and fft2 rows are its two larger solves,
+// so a change of expansion order on the f = OPT plateau fails a plain
+// test run, not only a traced benchmark run.
 func TestGoldenStates(t *testing.T) {
 	grid3x3 := pebble.MustInstance(gen.Grid2D(3, 3), pebble.MPP(1, 4, 2))
 	grid3x3k2 := pebble.MustInstance(gen.Grid2D(3, 3), pebble.MPP(2, 3, 2))
@@ -44,6 +49,10 @@ func TestGoldenStates(t *testing.T) {
 	zipper := pebble.MustInstance(zipg, pebble.MPP(1, 4, 5))
 	pyramid4 := pebble.MustInstance(gen.Pyramid(4), pebble.MPP(1, 4, 2))
 	fft2 := pebble.MustInstance(gen.FFT(2), pebble.MPP(2, 3, 2))
+	oneShot := pebble.MPP(4, 4, 3)
+	oneShot.OneShot = true
+	pyramid3OneShot := pebble.MustInstance(gen.Pyramid(3), oneShot)
+	chains2x2 := pebble.MustInstance(gen.IndependentChains(2, 2), pebble.MPP(24, 3, 1))
 
 	// The configurations: DefaultConfig, each heuristic mode with pruning
 	// off (floor reproduces the pre-heuristic-stack search), ModeAsync at
@@ -64,24 +73,30 @@ func TestGoldenStates(t *testing.T) {
 		cost   int64
 		states int
 		pruned int
+		digest string // SHA-256 of the witness Strategy's WriteJSON bytes
 	}{
-		{"grid3x3-k1/default", grid3x3, def, 9, 14, 0},
-		{"grid3x3-k2/default", grid3x3k2, def, 11, 39_314, 0},
-		{"grid3x3-k2/async", grid3x3k2, async, 11, 39_314, 0},
-		{"grid2x3-k2/default", grid2x3, def, 6, 92, 0},
-		{"grid2x3-k2/floor", grid2x3, floorCfg, 6, 412, 0},
-		{"grid2x3-k2/io", grid2x3, ioCfg, 6, 240, 0},
-		{"grid2x3-k2/max", grid2x3, maxCfg, 6, 240, 0},
-		{"grid2x3-k2/async", grid2x3, async, 6, 92, 0},
-		{"grid2x3-k2/witness", grid2x3, witness, 6, 92, 0},
-		{"zipper2x3-k1-g5/default", zipper, def, 9, 45, 0},
-		{"zipper2x3-k1-g5/floor", zipper, floorCfg, 9, 207, 0},
-		{"zipper2x3-k1-g5/io", zipper, ioCfg, 9, 76, 0},
-		{"zipper2x3-k1-g5/max", zipper, maxCfg, 9, 76, 0},
-		{"zipper2x3-k1-g5/async", zipper, async, 9, 45, 0},
-		{"zipper2x3-k1-g5/witness", zipper, witness, 9, 45, 0},
-		{"pyramid4-k1/default", pyramid4, def, 23, 178_259, 0},
-		{"fft2-k2/default", fft2, def, 12, 154_683, 0},
+		{"grid3x3-k1/default", grid3x3, def, 9, 14, 0, ""},
+		{"grid3x3-k2/default", grid3x3k2, def, 11, 39_314, 0, ""},
+		{"grid3x3-k2/async", grid3x3k2, async, 11, 39_314, 0, ""},
+		{"grid3x3-k2/witness", grid3x3k2, witness, 11, 39_314, 0, "6999dfc5a24e62de8965e6214639face0dc3cfc153d9cf2a36fd86edf31431d3"},
+		{"grid2x3-k2/default", grid2x3, def, 6, 92, 0, ""},
+		{"grid2x3-k2/floor", grid2x3, floorCfg, 6, 412, 0, ""},
+		{"grid2x3-k2/io", grid2x3, ioCfg, 6, 240, 0, ""},
+		{"grid2x3-k2/max", grid2x3, maxCfg, 6, 240, 0, ""},
+		{"grid2x3-k2/async", grid2x3, async, 6, 92, 0, ""},
+		{"grid2x3-k2/witness", grid2x3, witness, 6, 92, 0, "aaa5a16d260cd0de632f15224fbdf304d0d3822e92f2e3a486848622c8dbafd3"},
+		{"zipper2x3-k1-g5/default", zipper, def, 9, 45, 0, ""},
+		{"zipper2x3-k1-g5/floor", zipper, floorCfg, 9, 207, 0, ""},
+		{"zipper2x3-k1-g5/io", zipper, ioCfg, 9, 76, 0, ""},
+		{"zipper2x3-k1-g5/max", zipper, maxCfg, 9, 76, 0, ""},
+		{"zipper2x3-k1-g5/async", zipper, async, 9, 45, 0, ""},
+		{"zipper2x3-k1-g5/witness", zipper, witness, 9, 45, 0, "af6a369ffff1f024808ef5ca0a78e4ff06a13fb9264ab44ab5cc5bbde770155d"},
+		{"pyramid4-k1/default", pyramid4, def, 23, 178_259, 0, ""},
+		{"pyramid4-k1/witness", pyramid4, witness, 23, 178_259, 0, "1ce2dd393455a26f8f1e9a397b82042d1b310a405dc2f5fdc76bee63cf4f45ca"},
+		{"fft2-k2/default", fft2, def, 12, 154_683, 0, ""},
+		{"fft2-k2/witness", fft2, witness, 12, 154_683, 0, "5952f3e6bd471914f4abd7b29c74478dcf56e1e59c69e373e38a494730f6ebc7"},
+		{"pyramid3-k4-oneshot/witness", pyramid3OneShot, witness, 16, 50_437, 26_588, "1e0a521b39e85003d1a25a4c56c461e214e78b9533bbacf7d286d47246ffefb6"},
+		{"chains2x2-k24/witness", chains2x2, witness, 2, 2, 0, "b6d7f601cb6709a677725ea7a263342b142d26cb48bab31ab3c29c1484cf3b69"},
 	}
 	for _, row := range exactRows {
 		t.Run(row.name, func(t *testing.T) {
@@ -92,6 +107,17 @@ func TestGoldenStates(t *testing.T) {
 			if res.Cost != row.cost || res.States != row.states || res.Pruned != row.pruned {
 				t.Errorf("cost %d in %d states, %d pruned; want cost %d in %d states, %d pruned",
 					res.Cost, res.States, res.Pruned, row.cost, row.states, row.pruned)
+			}
+			if !row.cfg.Witness {
+				return
+			}
+			var buf bytes.Buffer
+			if err := res.Strategy.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != row.digest {
+				t.Errorf("witness digest %s, want %s", got, row.digest)
 			}
 		})
 	}

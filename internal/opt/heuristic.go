@@ -116,7 +116,7 @@ func (s *solver) initDerived() {
 }
 
 // h dispatches on the configured mode. A negative return is the
-// dead-state sentinel (one-shot only); enqueue drops such candidates.
+// dead-state sentinel (one-shot only); relax drops such candidates.
 //
 //mpp:hotpath
 func (s *solver) h(w []uint64) int64 {

@@ -42,9 +42,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/dag"
 	"repro/internal/hashtab"
 	"repro/internal/pebble"
 )
@@ -61,21 +63,17 @@ const (
 )
 
 // run is a column-wise list of candidate relaxations: packed words
-// (stateWords each) and g-costs, plus parent ref and move in witness
-// mode. A shard gathers one per destination, and each mailbox holds one.
+// (stateWords each) and g-costs, plus the parent ref in witness mode. A
+// shard gathers one per destination, and each mailbox holds one.
 type run struct {
 	words []uint64
 	costs []int64
-	froms []stateRef    // witness mode only
-	moves []pebble.Move // witness mode only
+	froms []stateRef // witness mode only
 }
 
-// reset empties the run, keeping its capacity; the moves are cleared
-// so a pooled run pins no Actions slices.
+// reset empties the run, keeping its capacity.
 func (r *run) reset() {
-	clear(r.moves)
-	r.words, r.costs = r.words[:0], r.costs[:0]
-	r.froms, r.moves = r.froms[:0], r.moves[:0]
+	r.words, r.costs, r.froms = r.words[:0], r.costs[:0], r.froms[:0]
 }
 
 // mailbox is a shard's inbox: senders append to run under mu and never
@@ -114,9 +112,8 @@ type engine struct {
 	activity int64  // atomic
 	doneFlag uint32 // atomic: 1 once quiescence was proven
 
-	incMu    sync.Mutex // guards incRef alongside the incumbent store
-	incRef   stateRef   // mpp:guardedby incMu
-	startRef stateRef   // owner/index of the seed state
+	incMu  sync.Mutex // guards incRef alongside the incumbent store
+	incRef stateRef   // mpp:guardedby incMu
 }
 
 func newEngine(ctx context.Context, in *pebble.Instance, cfg Config, newTab func() hashtab.Index, pooled bool) *engine {
@@ -243,13 +240,12 @@ func (e *engine) reopenedTotal() int {
 // their capacity, so steady-state routing does not allocate.
 //
 //mpp:hotpath
-func (s *solver) route(dst int, cost int64, kind pebble.OpKind, choice []int) {
+func (s *solver) route(dst int, cost int64) {
 	r := &s.out[dst]
 	r.words = append(r.words, s.cand...)
 	r.costs = append(r.costs, cost)
 	if s.cfg.Witness {
-		r.froms = append(r.froms, stateRef{shard: s.shard, idx: s.curIdx})
-		r.moves = append(r.moves, moveOf(kind, choice))
+		r.froms = append(r.froms, s.curRef)
 	}
 	if len(r.costs) >= batchStates {
 		s.ship(dst)
@@ -268,7 +264,6 @@ func (s *solver) ship(dst int) {
 	mb.run.words = append(mb.run.words, r.words...)
 	mb.run.costs = append(mb.run.costs, r.costs...)
 	mb.run.froms = append(mb.run.froms, r.froms...)
-	mb.run.moves = append(mb.run.moves, r.moves...)
 	atomic.AddInt64(&mb.pending, n)
 	mb.mu.Unlock()
 	r.reset()
@@ -310,11 +305,10 @@ func (s *solver) apply() {
 	wpk := stateWords(s.in.K)
 	for i, cost := range r.costs {
 		var from stateRef
-		var mv pebble.Move
 		if s.cfg.Witness {
-			from, mv = r.froms[i], r.moves[i]
+			from = r.froms[i]
 		}
-		s.applyRemote(r.words[i*wpk:(i+1)*wpk], cost, from, mv)
+		s.relax(r.words[i*wpk:(i+1)*wpk], cost, from)
 	}
 	n := int64(len(r.costs))
 	r.reset()
@@ -412,15 +406,30 @@ func (e *engine) witnessRef() stateRef {
 	return ref
 }
 
-// reconstruct walks parent refs from the goal back to the seed state,
-// hopping shards as needed, and returns the move sequence. Only called
-// after all workers stopped, so the cross-shard reads are quiescent.
+// reconstruct walks parent refs from the goal back to the start state,
+// hopping shards as needed, and rebuilds the move sequence forward. Only
+// called after all workers stopped, so the cross-shard reads are
+// quiescent and any shard's scratch is free.
 //
-// A recorded move names shade positions in its parent's canonical red
-// words, so the chain is replayed forward from the empty seed: red holds
-// the canonical red words and proc[i] the processor at position i. Each
-// action runs on its position's processor; after the move the words are
-// re-sorted the way canonicalizeRed sorts them, carrying proc along.
+// A parent ref keeps no move: each step re-expands its parent with want
+// set to the child's words, and offer keeps the earliest of the
+// cheapest candidates equal to the child. That is the candidate whose
+// strict improvement recorded the ref: the parent's candidates reach
+// the child in generation order, at costs that differ from the
+// parent's g by the same amounts in every expansion, and only a
+// cheaper one replaces an earlier one. A stop inside the parent's
+// expansion is the one exception: the search then offered only part of
+// its candidates, and the rebuild may pick a cheaper later one to the
+// same child, never a costlier one. The rebuild repeats one expansion
+// per move of a path the search already found, so it runs without
+// cancel: a deadline-stopped witness solve still returns its
+// incumbent's strategy.
+//
+// The regenerated choice names shade positions in the parent's canonical
+// red words, so the chain is replayed forward from the empty start: red
+// holds the canonical red words and proc[i] the processor at position i.
+// Each action runs on its position's processor; after the move the words
+// are re-sorted the way canonicalizeRed sorts them, carrying proc along.
 // Tied words hold identical red sets, so a tie may break either way.
 func (e *engine) reconstruct(goal stateRef) (*pebble.Strategy, error) {
 	if goal.idx < 0 {
@@ -430,19 +439,18 @@ func (e *engine) reconstruct(goal stateRef) (*pebble.Strategy, error) {
 	for _, s := range e.shards {
 		limit += s.tab.Len()
 	}
-	var rev []pebble.Move
-	for ref := goal; ref != e.startRef; {
-		pe := e.shards[ref.shard].parent[ref.idx]
-		if pe.from.idx < 0 {
-			return nil, fmt.Errorf("opt: witness chain broken (internal error)")
-		}
-		rev = append(rev, pe.move)
-		ref = pe.from
-		if len(rev) > limit {
+	var path []stateRef // goal first, the start state last
+	for ref := goal; ref.idx >= 0; ref = e.shards[ref.shard].parent[ref.idx] {
+		path = append(path, ref)
+		if len(path) > limit {
 			return nil, fmt.Errorf("opt: witness chain too long (internal error)")
 		}
 	}
 	k := e.in.K
+	s := e.shards[0]
+	s.ctx = context.WithoutCancel(e.ctx)
+	s.pick.choice = resizeInts(s.pick.choice, k)
+	defer func() { s.want = nil }() // a pooled solver must not pin a table
 	red := make([]uint64, k)
 	proc := make([]int32, k)
 	for p := range proc {
@@ -450,24 +458,38 @@ func (e *engine) reconstruct(goal stateRef) (*pebble.Strategy, error) {
 	}
 	st := &pebble.Strategy{}
 	var acts []pebble.Action
-	for i := len(rev) - 1; i >= 0; i-- {
-		m := rev[i]
-		acts = acts[:0]
-		for _, a := range m.Actions {
-			switch m.Kind {
-			case pebble.OpCompute, pebble.OpRead:
-				red[a.Proc] |= 1 << uint(a.Node)
-			case pebble.OpDelete:
-				red[a.Proc] &^= 1 << uint(a.Node)
-			}
-			acts = append(acts, pebble.Action{Proc: proc[a.Proc], Node: a.Node})
+	for i := len(path) - 1; i > 0; i-- {
+		from, to := path[i], path[i-1]
+		s.cur = append(s.cur[:0], e.shards[from.shard].tab.Key(int(from.idx))...)
+		s.want = e.shards[to.shard].tab.Key(int(to.idx))
+		s.pick.cost = math.MaxInt64
+		s.expand(0)
+		if s.pick.cost == math.MaxInt64 {
+			return nil, fmt.Errorf("opt: witness move not regenerated (internal error)")
 		}
-		st.Append(pebble.Move{Kind: m.Kind, Actions: acts})
+		kind := s.pick.kind
+		acts = acts[:0]
+		for pos, v := range s.pick.choice {
+			if v < 0 {
+				continue
+			}
+			switch kind {
+			case pebble.OpCompute, pebble.OpRead:
+				red[pos] |= 1 << uint(v)
+			case pebble.OpDelete:
+				red[pos] &^= 1 << uint(v)
+			}
+			acts = append(acts, pebble.Action{Proc: proc[pos], Node: dag.NodeID(v)})
+		}
+		st.Append(pebble.Move{Kind: kind, Actions: acts})
 		for x := 1; x < k; x++ {
 			for y := x; y > 0 && red[y] < red[y-1]; y-- {
 				red[y], red[y-1] = red[y-1], red[y]
 				proc[y], proc[y-1] = proc[y-1], proc[y]
 			}
+		}
+		if !slices.Equal(red, s.want[:k]) {
+			return nil, fmt.Errorf("opt: witness replay diverged (internal error)")
 		}
 	}
 	return st, nil

@@ -38,24 +38,23 @@ var solverPool sync.Pool
 // solve however small. A solver past the cap is dropped on release and
 // the next acquire starts fresh. 8 MiB does not keep the benchmark's
 // exact solves pooled: fft2 at MPP(2,3,2) interns 456 901 states of
-// 32 B, ≈ 14.6 MB of table keys alone, and its solver pins ≈ 36 MB in
-// all, pyramid4's at MPP(1,4,2) ≈ 35 MB and grid3x3's at MPP(2,3,2)
-// ≈ 9.3 MB. Each of those solvers is dropped after its solve, and the
-// next solve regrows its arenas from empty; only smaller solves, such
-// as the experiment suite's, are recycled. A 64 MiB cap would keep them
-// all: on a 2-vCPU box, in three alternating bench/run.sh pairs,
-// solve-hard's pass_s fell another 5.6% (1.545 → 1.458 s) but its peak
-// RSS rose from 77 to 121 MB, past the benchmark's 25% bound, so the
-// cap stays at 8 MiB. A variable, not a const, so pool_test.go can
-// lower it.
+// 32 B, ≈ 14.6 MB of table keys alone, and its solver pins ≈ 33 MB in
+// all, pyramid4's at MPP(1,4,2) ≈ 31 MB and grid3x3's at MPP(2,3,2)
+// ≈ 12.7 MB (arenaBytes after a value solve; a witness solve's 8-byte
+// parent refs add 1–4 MB). Each of those solvers is dropped after its
+// solve, and the next solve regrows its arenas from empty; only smaller
+// solves, such as the experiment suite's, are recycled. A 64 MiB cap
+// would keep them all: on a 2-vCPU box, in three alternating
+// bench/run.sh pairs, solve-hard's pass_s fell another 5.6% (1.545 →
+// 1.458 s) but its peak RSS rose from 77 to 121 MB, past the
+// benchmark's 25% bound, so the cap stays at 8 MiB. A variable, not a
+// const, so pool_test.go can lower it.
 var maxPooledArenaBytes = int64(8 << 20)
 
 // Per-element sizes for arenaBytes, matching the arena element types.
 const (
-	sliceHdrBytes   = 24 // slice header retained per held buffer
-	parentEdgeBytes = 40 // parentEdge: stateRef + Move header
-	moveBytes       = 32 // pebble.Move: kind + Actions header
-	stateRefBytes   = 8  // stateRef: shard + index
+	sliceHdrBytes = 24 // slice header retained per held buffer
+	stateRefBytes = 8  // stateRef: shard + index
 )
 
 // arenaBytes estimates the capacity this solver's recycled arenas pin:
@@ -68,7 +67,7 @@ func (s *solver) arenaBytes() int64 {
 		b += t.ArenaBytes()
 	}
 	b += int64(cap(s.dist))*8 + sliceHdrBytes
-	b += int64(cap(s.parent))*parentEdgeBytes + sliceHdrBytes
+	b += int64(cap(s.parent))*stateRefBytes + sliceHdrBytes
 	b += int64(cap(s.expandedMark)) + sliceHdrBytes
 	b += s.bq.arenaBytes()
 	for _, r := range s.out[:cap(s.out)] {
@@ -80,7 +79,7 @@ func (s *solver) arenaBytes() int64 {
 // arenaBytes is the capacity a run pins.
 func (r *run) arenaBytes() int64 {
 	return int64(cap(r.words))*8 + int64(cap(r.costs))*8 +
-		int64(cap(r.froms))*stateRefBytes + int64(cap(r.moves))*moveBytes + 4*sliceHdrBytes
+		int64(cap(r.froms))*stateRefBytes + 3*sliceHdrBytes
 }
 
 // acquireSolver returns a recycled solver when pooling is on, a fresh
@@ -105,7 +104,7 @@ func (s *solver) bind(e *engine, shard int32, newTab func() hashtab.Index, poole
 	s.n = in.Graph.N()
 	s.eng, s.shard = e, shard
 	s.pruned, s.reopened, s.ticks = 0, 0, 0
-	s.curIdx = 0
+	s.curRef = stateRef{}
 	s.initDerived()
 	s.initScratch()
 

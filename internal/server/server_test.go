@@ -354,6 +354,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"no dag", `{"k":1,"g":1}`},
 		{"both dags", `{"dag":"chain:3","dag_json":{"name":"x"},"k":1,"g":1}`},
 		{"bad spec", `{"dag":"nosuch:9","k":1,"g":1}`},
+		// A surplus spec value is refused, not dropped.
+		{"surplus spec value", `{"dag":"grid:3,3,3","k":1,"g":1}`},
 		{"r too small", `{"dag":"grid:3,3","k":1,"r":1,"g":1}`},
 		{"bad heuristic", `{"dag":"chain:3","k":1,"g":1,"heuristic":"bogus"}`},
 		{"bad mode", `{"dag":"chain:3","k":1,"g":1,"mode":"bogus"}`},
@@ -386,6 +388,7 @@ func TestSubmitValidation(t *testing.T) {
 		"n beyond 62":             "at most 62",
 		"dag_json n beyond 62":    "at most 62",
 		"dag_json n at int32 max": "at most 62",
+		"surplus spec value":      "expected 2 comma-separated values",
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -32,55 +32,55 @@ func ParseDAG(s string) (g *dag.Graph, err error) {
 	kind, arg, _ := strings.Cut(s, ":")
 	switch kind {
 	case "chain":
-		v, err := ints(arg, 1)
+		v, err := ints(arg, 1, 1)
 		if err != nil {
 			return nil, err
 		}
 		return gen.Chain(v[0]), nil
 	case "chains":
-		v, err := ints(arg, 2)
+		v, err := ints(arg, 2, 2)
 		if err != nil {
 			return nil, err
 		}
 		return gen.IndependentChains(v[0], v[1]), nil
 	case "intree":
-		v, err := ints(arg, 1)
+		v, err := ints(arg, 1, 1)
 		if err != nil {
 			return nil, err
 		}
 		return gen.BinaryInTree(v[0]), nil
 	case "outtree":
-		v, err := ints(arg, 1)
+		v, err := ints(arg, 1, 1)
 		if err != nil {
 			return nil, err
 		}
 		return gen.BinaryOutTree(v[0]), nil
 	case "grid":
-		v, err := ints(arg, 2)
+		v, err := ints(arg, 2, 2)
 		if err != nil {
 			return nil, err
 		}
 		return gen.Grid2D(v[0], v[1]), nil
 	case "pyramid":
-		v, err := ints(arg, 1)
+		v, err := ints(arg, 1, 1)
 		if err != nil {
 			return nil, err
 		}
 		return gen.Pyramid(v[0]), nil
 	case "fft":
-		v, err := ints(arg, 1)
+		v, err := ints(arg, 1, 1)
 		if err != nil {
 			return nil, err
 		}
 		return gen.FFT(v[0]), nil
 	case "matmul":
-		v, err := ints(arg, 1)
+		v, err := ints(arg, 1, 1)
 		if err != nil {
 			return nil, err
 		}
 		return gen.MatMul(v[0]), nil
 	case "zipper":
-		v, err := ints(arg, 2)
+		v, err := ints(arg, 2, 3)
 		if err != nil {
 			return nil, err
 		}
@@ -91,28 +91,28 @@ func ParseDAG(s string) (g *dag.Graph, err error) {
 		g, _ := gen.Zipper(v[0], v[1], tail)
 		return g, nil
 	case "fanchain":
-		v, err := ints(arg, 2)
+		v, err := ints(arg, 2, 2)
 		if err != nil {
 			return nil, err
 		}
 		g, _ := gen.FanChain(v[0], v[1], 0)
 		return g, nil
 	case "cyclic":
-		v, err := ints(arg, 4)
+		v, err := ints(arg, 4, 4)
 		if err != nil {
 			return nil, err
 		}
 		g, _ := gen.CyclicFanChain(v[0], v[1], v[2], v[3])
 		return g, nil
 	case "broom":
-		v, err := ints(arg, 3)
+		v, err := ints(arg, 3, 3)
 		if err != nil {
 			return nil, err
 		}
 		g, _ := gen.SharedPrefixBroom(v[0], v[1], v[2])
 		return g, nil
 	case "trapg":
-		v, err := ints(arg, 2)
+		v, err := ints(arg, 2, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -160,10 +160,15 @@ func ParseDAG(s string) (g *dag.Graph, err error) {
 	}
 }
 
-func ints(spec string, want int) ([]int, error) {
+// ints parses between lo and hi comma-separated integers: a surplus
+// value is an error, not dropped.
+func ints(spec string, lo, hi int) ([]int, error) {
 	parts := strings.Split(spec, ",")
-	if len(parts) < want {
-		return nil, fmt.Errorf("expected ≥ %d comma-separated values, got %q", want, spec)
+	if len(parts) < lo || len(parts) > hi {
+		if lo == hi {
+			return nil, fmt.Errorf("expected %d comma-separated values, got %q", lo, spec)
+		}
+		return nil, fmt.Errorf("expected %d to %d comma-separated values, got %q", lo, hi, spec)
 	}
 	out := make([]int, len(parts))
 	for i, p := range parts {
@@ -203,7 +208,7 @@ func ParseSchedulers(s string) ([]sched.Scheduler, error) {
 	case "random":
 		rg := sched.RandomRestartGreedy{}
 		if arg != "" {
-			v, err := ints(arg, 1)
+			v, err := ints(arg, 1, 2)
 			if err != nil {
 				return nil, fmt.Errorf("random wants SEED[,RESTARTS]: %w", err)
 			}

@@ -71,6 +71,9 @@ func TestParseDAGErrors(t *testing.T) {
 	for _, spec := range []string{
 		"nope:3", "chain:x", "chains:1", "random:1,2,3",
 		"twolayer:1,2,3", "random:a,b,c,d",
+		// A surplus value is refused, not dropped.
+		"grid:3,3,3", "chain:5,9", "zipper:2,3,0,9", "pyramid:3,1",
+		"fanchain:3,4,5", "cyclic:6,2,5,2,1", "random:8,0.3,2,1,5",
 	} {
 		if _, err := ParseDAG(spec); err == nil {
 			t.Errorf("%q accepted", spec)
@@ -102,6 +105,9 @@ func TestParseSchedulers(t *testing.T) {
 	}
 	if _, err := ParseSchedulers("partitioned:nope"); err == nil {
 		t.Error("bad partition accepted")
+	}
+	if _, err := ParseSchedulers("random:1,2,3"); err == nil {
+		t.Error("surplus random option accepted")
 	}
 	if _, err := ParseSchedulers("wat"); err == nil {
 		t.Error("unknown scheduler accepted")

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: formatting, vet, lint, build, the full test
 # suite (including the golden states-expanded table in internal/opt),
-# short fuzzes of the strategy and DAG readers, the race suites, the scheduler
-# scale and allocation smoke, the exhaustive small-DAG sweep of the
-# exact search and the server end-to-end smoke. Run
-# before every commit; CI runs exactly this.
+# short fuzzes of the strategy reader and the DAG JSON and text readers,
+# the race suites, the scheduler scale and allocation smoke, the
+# exhaustive small-DAG sweep of the exact search and the server
+# end-to-end smoke. Run before every commit; CI runs exactly this.
 # Timing lives in the repository benchmark, bench/run.sh.
 #
 #   scripts/verify.sh           # full suite (~7 min on 2 vCPUs; the race suites and the opt sweep dominate)
@@ -49,6 +49,13 @@ echo "== fuzz: DAG JSON reader =="
 # a short coverage-guided search for inputs that make it panic, or that
 # it accepts but cannot round-trip to the same node count and edges.
 go test -run '^$' -fuzz '^FuzzFromJSON$' -fuzztime 10s ./internal/dag/
+
+echo "== fuzz: DAG text reader =="
+# dag.ReadText reads the CLIs' file: DAG spec: the same search for
+# inputs that make it panic, that it accepts with a node count other
+# than the one declared, or whose WriteText output reads back to a
+# different graph.
+go test -run '^$' -fuzz '^FuzzReadText$' -fuzztime 10s ./internal/dag/
 
 echo "== bench module =="
 # bench/ is its own Go module (repro/bench, replace repro => ../), so the
